@@ -1,4 +1,4 @@
-"""Surrogate-free baselines sharing the run-trace schema.
+"""Surrogate-free baselines as ask/tell strategies for the shared run loop.
 
 Random search draws i.i.d. uniform members of the constraint set. Direct
 annealing applies the annealed neighborhood walk straight to the oracle,
@@ -8,78 +8,69 @@ every proposal consumes one unit of evaluation budget.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .acquisition import AnnealSchedule, _accept_probability
-from .benchmarks.base import CountingOracle, Oracle
-from .domain import apply_flips, neighbor_move, sample_uniform, to_bits
-from .results import RunTrace, build_trace
+from .benchmarks.base import Oracle
+from .domain import apply_flips, neighbor_move, sample_uniform
+from .harness import drive
+from .results import RunTrace
 
-__all__ = ["random_search", "simulated_annealing_direct"]
+__all__ = ["RandomSearch", "DirectAnnealing", "random_search", "simulated_annealing_direct"]
+
+
+class RandomSearch:
+    """Uniform queries; observations change nothing."""
+
+    def __init__(self, constraint, rng: np.random.Generator):
+        self.constraint, self.rng = constraint, rng
+
+    def ask(self, step: int) -> np.ndarray:
+        return sample_uniform(self.constraint, self.rng)
+
+    def tell(self, x: np.ndarray, obs: float) -> None:
+        pass
+
+
+class DirectAnnealing:
+    """Annealed walk on the oracle itself; acceptance compares observations.
+
+    The initial point costs one evaluation; proposal k then uses temperature
+    s(k) = exp(-omega * k / d).
+    """
+
+    def __init__(self, constraint, omega: float, rng: np.random.Generator):
+        self.constraint, self.rng = constraint, rng
+        self.schedule = AnnealSchedule(omega, constraint.d)
+        self.x, self.current = None, np.inf   # current point and its observation
+        self.temperature = None               # of the pending proposal
+
+    def ask(self, step: int) -> np.ndarray:
+        if self.x is None:
+            return sample_uniform(self.constraint, self.rng)
+        self.temperature = self.schedule(step - 1)
+        return apply_flips(self.x, neighbor_move(self.constraint, self.x, self.rng))
+
+    def tell(self, z: np.ndarray, value: float) -> None:
+        if (self.x is None or value <= self.current or self.rng.random()
+                <= _accept_probability(value - self.current, self.temperature)):
+            self.x, self.current = z, value
 
 
 def random_search(oracle: Oracle, budget: int, rng: np.random.Generator,
                   noise_rng: np.random.Generator | None = None,
                   deadline: float | None = None, seed: int = 0) -> RunTrace:
     """Uniform queries until the budget (or an optional wall-clock deadline)."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    noise_rng = rng if noise_rng is None else noise_rng
-    counting = CountingOracle(oracle)
-    rows, truncated = [], False
-    for _ in range(budget):
-        if deadline is not None and time.perf_counter() >= deadline:
-            truncated = True
-            break
-        t0 = time.perf_counter()
-        x = sample_uniform(oracle.constraint, rng)
-        acq_time = time.perf_counter() - t0
-        raw, obs = counting.observe(x, noise_rng)
-        rows.append({"query_bits": to_bits(x), "raw": raw, "scaled": obs,
-                     "acq_time": acq_time, "update_time": 0.0})
-    assert counting.calls == len(rows)
-    return build_trace("rs", seed, rows, oracle, truncated=truncated)
+    return drive(RandomSearch(oracle.constraint, rng), oracle, budget,
+                 rng if noise_rng is None else noise_rng,
+                 name="rs", seed=seed, deadline=deadline)
 
 
 def simulated_annealing_direct(oracle: Oracle, budget: int, omega: float,
                                rng: np.random.Generator,
                                noise_rng: np.random.Generator | None = None,
                                deadline: float | None = None, seed: int = 0) -> RunTrace:
-    """Annealed walk on the oracle itself; acceptance compares observations.
-
-    The initial point costs one evaluation; proposal k then uses temperature
-    s(k) = exp(-omega * k / d).
-    """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    noise_rng = rng if noise_rng is None else noise_rng
-    constraint = oracle.constraint
-    schedule = AnnealSchedule(omega, constraint.d)
-    counting = CountingOracle(oracle)
-
-    t0 = time.perf_counter()
-    x = sample_uniform(constraint, rng)
-    acq_time = time.perf_counter() - t0
-    raw, current = counting.observe(x, noise_rng)
-    rows = [{"query_bits": to_bits(x), "raw": raw, "scaled": current,
-             "acq_time": acq_time, "update_time": 0.0}]
-
-    truncated = False
-    for k in range(budget - 1):
-        if deadline is not None and time.perf_counter() >= deadline:
-            truncated = True
-            break
-        t0 = time.perf_counter()
-        move = neighbor_move(constraint, x, rng)
-        z = apply_flips(x, move)
-        acq_time = time.perf_counter() - t0
-        raw_z, value_z = counting.observe(z, noise_rng)
-        rows.append({"query_bits": to_bits(z), "raw": raw_z, "scaled": value_z,
-                     "acq_time": acq_time, "update_time": 0.0})
-        if value_z <= current or rng.random() <= _accept_probability(value_z - current,
-                                                                     schedule(k)):
-            x, current = z, value_z
-    assert counting.calls == len(rows)
-    return build_trace("sa", seed, rows, oracle, truncated=truncated)
+    """Direct annealing until the budget (or an optional wall-clock deadline)."""
+    return drive(DirectAnnealing(oracle.constraint, omega, rng), oracle, budget,
+                 rng if noise_rng is None else noise_rng,
+                 name="sa", seed=seed, deadline=deadline)

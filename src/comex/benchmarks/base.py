@@ -8,6 +8,7 @@ fixed reference level lying below every observation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,14 +41,14 @@ class Oracle:
 
     `raw_fn` is the deterministic raw objective on spin points. `observe`
     returns (raw, observation); the observation is the scaled value plus
-    optional Gaussian noise (noise lives on the scaled axis). For Known
-    envelopes a raw value outside [lo, hi] aborts with an error, since the
-    affine map — and every regret comparison built on it — would be invalid.
+    optional Gaussian noise (noise lives on the scaled axis). A non-finite
+    raw value is an error, and so, for Known envelopes, is a raw value
+    outside [lo, hi], since the affine map — and every regret comparison
+    built on it — would be invalid.
     """
 
     def __init__(self, name: str, constraint, raw_fn: Callable[[np.ndarray], float],
-                 bounds, noise_sigma: float = 0.0, params: dict | None = None,
-                 raw_regret_level: float | None = None):
+                 bounds, noise_sigma: float = 0.0, raw_regret_level: float | None = None):
         if noise_sigma < 0:
             raise ValueError("noise level must be nonnegative")
         self.name = name
@@ -55,7 +56,6 @@ class Oracle:
         self._raw_fn = raw_fn
         self.bounds = bounds
         self.noise_sigma = float(noise_sigma)
-        self.params = dict(params or {})
         # When the true minimum is unknown, regret is anchored to a fixed
         # level below all observable raw values rather than to the scaled
         # envelope minimum.
@@ -86,6 +86,8 @@ class Oracle:
 
     def observe(self, x, rng: np.random.Generator | None = None) -> tuple[float, float]:
         raw = self.raw(x)
+        if not math.isfinite(raw):
+            raise ValueError(f"oracle '{self.name}' returned {raw}, which is not finite")
         if isinstance(self.bounds, Known):
             b = self.bounds
             if raw < b.lo - 1e-9 or raw > b.hi + 1e-9:

@@ -132,7 +132,5 @@ def contamination_oracle(problem: ContaminationProblem) -> Oracle:
         constraint=Unconstrained(problem.d),
         raw_fn=problem.evaluate,
         bounds=Known(0.0, hi),
-        params={"d": problem.d, "lambda_reg": problem.lambda_reg,
-                "n_paths": problem.n_paths},
         raw_regret_level=0.0,
     )

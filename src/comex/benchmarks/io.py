@@ -12,17 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .contamination import ContaminationProblem
-from .ising import IsingProblem
-from .nqueens import NQueensProblem
+from .registry import PROBLEMS
 
 __all__ = ["save_instance", "load_instance"]
-
-_KINDS = {
-    "ising": IsingProblem,
-    "contamination": ContaminationProblem,
-    "nqueens": NQueensProblem,
-}
 
 
 def _encode(value):
@@ -59,6 +51,6 @@ def save_instance(problem, path) -> None:
 def load_instance(path):
     data = _decode(json.loads(Path(path).read_text()))
     kind = data.get("kind")
-    if kind not in _KINDS:
+    if kind not in PROBLEMS:
         raise ValueError(f"{path}: unknown instance kind {kind!r}")
-    return _KINDS[kind].from_dict(data)
+    return PROBLEMS[kind].cls.from_dict(data)

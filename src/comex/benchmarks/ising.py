@@ -160,6 +160,4 @@ def ising_oracle(problem: IsingProblem) -> Oracle:
         constraint=Unconstrained(problem.d),
         raw_fn=problem.evaluate,
         bounds=bounds,
-        params={"rows": problem.rows, "cols": problem.cols,
-                "lambda_reg": problem.lambda_reg},
     )

@@ -81,7 +81,7 @@ class NQueensProblem:
         return cls(n=int(data["n"]), noise_sigma=float(data["noise_sigma"]))
 
 
-def nqueens_make(n: int, noise_sigma: float = DEFAULT_NOISE_SIGMA) -> NQueensProblem:
+def nqueens_make(n: int = 5, noise_sigma: float = DEFAULT_NOISE_SIGMA) -> NQueensProblem:
     return NQueensProblem(n=n, noise_sigma=noise_sigma)
 
 
@@ -92,7 +92,6 @@ def nqueens_oracle(problem: NQueensProblem) -> Oracle:
         raw_fn=problem.energy,
         bounds=Known(0.0, problem.max_energy()),
         noise_sigma=problem.noise_sigma,
-        params={"n": problem.n, "noise_sigma": problem.noise_sigma},
     )
 
 

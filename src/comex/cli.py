@@ -18,9 +18,10 @@ import sys
 import numpy as np
 
 from .acquisition import exponential_acquisition_audit
+from .benchmarks import save_instance
+from .benchmarks.registry import PROBLEM_PARAMS, PROBLEMS
 from .harness import ExperimentConfig, build_problem, read_config_file, run_experiment
 from .results import export_json, export_summary_csv, summarize
-from .benchmarks import save_instance
 from .surrogate import kl_drop_audit
 
 __all__ = ["main"]
@@ -49,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment and export results",
                          formatter_class=fmt)
     run.add_argument("--config", help="key = value file; explicit flags override it")
-    run.add_argument("--problem", choices=["ising", "contamination", "nqueens"],
-                     default="contamination")
+    run.add_argument("--problem", choices=list(PROBLEMS), default="contamination")
     run.add_argument("--algo", choices=["comex", "rs", "sa"], default="comex")
     run.add_argument("--budget", type=int, default=250, help="oracle evaluations per run")
     run.add_argument("--seeds", type=str, default="0",
@@ -112,8 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench-step-time", formatter_class=fmt,
                            help="per-step algorithm time, early vs late windows")
-    bench.add_argument("--problem", choices=["ising", "contamination", "nqueens"],
-                       default="contamination")
+    bench.add_argument("--problem", choices=list(PROBLEMS), default="contamination")
     bench.add_argument("--budget", type=int, default=500)
     bench.add_argument("--m", type=int, default=2)
     bench.add_argument("--seed", type=int, default=0)
@@ -133,20 +132,6 @@ def _run_command(args, argv) -> int:
                 continue
             setattr(args, _CONFIG_KEYS.get(key, key), _coerce(key, value))
 
-    problem_params = {}
-    if args.n is not None:
-        problem_params["n"] = args.n
-    if args.d is not None:
-        problem_params["d"] = args.d
-    if args.rows is not None:
-        problem_params["rows"] = args.rows
-    if args.cols is not None:
-        problem_params["cols"] = args.cols
-    if args.lambda_reg is not None:
-        problem_params["lambda_reg"] = args.lambda_reg
-    if args.noise_sigma is not None:
-        problem_params["noise_sigma"] = args.noise_sigma
-
     eta = None if str(args.eta) == "adaptive" else float(args.eta)
     config = ExperimentConfig(
         problem=args.problem,
@@ -165,7 +150,7 @@ def _run_command(args, argv) -> int:
         warm_start=args.warm_start,
         dedup=args.dedup,
         acq_chains=args.chains,
-        problem_params=problem_params,
+        problem_params=_problem_params(args),
     )
 
     if args.save_instance:
@@ -194,6 +179,12 @@ def _run_command(args, argv) -> int:
             export_json(args.out, config.to_dict(), traces, summary)
         print(f"results written to {args.out}")
     return 1 if any(t.aborted for t in traces) else 0
+
+
+def _problem_params(args) -> dict:
+    """Every problem parameter given as a flag (or in a config file)."""
+    return {key: getattr(args, key) for key in PROBLEM_PARAMS
+            if getattr(args, key, None) is not None}
 
 
 _CONFIG_KEYS = {"algo": "algo", "lambda": "sparsity", "time_budget": "time_budget"}
@@ -249,14 +240,9 @@ def _acq_audit_command(args) -> int:
 
 
 def _bench_command(args) -> int:
-    problem_params = {}
-    if args.d is not None:
-        problem_params["d"] = args.d
-    if args.n is not None:
-        problem_params["n"] = args.n
     config = ExperimentConfig(problem=args.problem, algorithm="comex",
                               budget=args.budget, seeds=(args.seed,), m=args.m,
-                              problem_params=problem_params)
+                              problem_params=_problem_params(args))
     [trace] = run_experiment(config)
     times = trace.algorithm_times()
     early = times[: min(100, len(times))]

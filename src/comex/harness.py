@@ -1,11 +1,13 @@
-"""Experiment orchestration: configs, the optimizer outer loop, seed fanout.
+"""Experiment orchestration: configs, the run loop, seed fanout.
 
-One run = one seed. The per-run master seed spawns independent streams for
-acquisition randomness and oracle noise, while the benchmark instance is
-built from a separate instance seed, so paired comparisons across
-algorithms and seeds share the same instance. The COMEX_THREADS environment
-variable fans seeds out across worker processes; results are identical to
-the sequential order either way.
+Each algorithm is an ask/tell strategy; one driver owns the evaluation
+budget, the deadlines, per-step timing, abort handling and the trace. One
+run = one seed. The per-run master seed spawns independent streams for
+acquisition randomness and oracle noise, while an experiment builds its
+benchmark instance once, from a separate instance seed, so paired
+comparisons across algorithms and seeds share the same instance. The
+COMEX_THREADS environment variable fans seeds out across worker processes;
+results are identical to the sequential order either way.
 """
 
 from __future__ import annotations
@@ -14,32 +16,21 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .acquisition import AnnealSchedule, propose_query
-from .baselines import random_search, simulated_annealing_direct
 from .basis import MonomialBasis
-from .benchmarks import (
-    CountingOracle,
-    contamination_make,
-    contamination_oracle,
-    ising_make,
-    ising_oracle,
-    load_instance,
-    nqueens_make,
-    nqueens_oracle,
-)
-from .benchmarks.contamination import ContaminationProblem
-from .benchmarks.ising import IsingProblem
-from .benchmarks.nqueens import NQueensProblem
+from .benchmarks.io import load_instance
+from .benchmarks.registry import make_problem, problem_oracle
 from .domain import to_bits
 from .results import RunTrace, build_trace
 from .surrogate import MonomialSurrogate
 
-__all__ = ["ExperimentConfig", "build_problem", "run_comex", "run_single",
-           "run_experiment", "read_config_file"]
+__all__ = ["ExperimentConfig", "ComexStrategy", "build_problem", "drive", "run_comex",
+           "run_single", "run_experiment", "read_config_file"]
 
 INNER_ITERS_PER_DIMENSION = 20
 
@@ -86,141 +77,125 @@ class ExperimentConfig:
 
 def build_problem(config: ExperimentConfig):
     """Materialize the benchmark instance and its scaled oracle."""
-    params = dict(config.problem_params)
     if config.instance_file:
         problem = load_instance(config.instance_file)
     else:
-        rng = np.random.default_rng(config.instance_seed)
-        if config.problem == "ising":
-            problem = ising_make(rng, rows=int(params.pop("rows", 4)),
-                                 cols=int(params.pop("cols", 4)),
-                                 lambda_reg=float(params.pop("lambda_reg", 0.01)))
-        elif config.problem == "contamination":
-            problem = contamination_make(rng, d=int(params.pop("d", 21)),
-                                         lambda_reg=float(params.pop("lambda_reg", 0.01)),
-                                         **params)
-            params = {}
-        elif config.problem == "nqueens":
-            problem = nqueens_make(n=int(params.pop("n", 5)),
-                                   noise_sigma=float(params.pop("noise_sigma", 0.02)))
-        else:
-            raise ValueError(f"unknown problem {config.problem!r}")
-    if isinstance(problem, IsingProblem):
-        oracle = ising_oracle(problem)
-    elif isinstance(problem, ContaminationProblem):
-        oracle = contamination_oracle(problem)
-    elif isinstance(problem, NQueensProblem):
-        oracle = nqueens_oracle(problem)
-    else:
-        raise TypeError(f"unsupported problem type {type(problem)!r}")
-    return problem, oracle
+        problem = make_problem(config.problem, config.problem_params,
+                               np.random.default_rng(config.instance_seed))
+    return problem, problem_oracle(problem)
 
 
-def _deadline(config: ExperimentConfig, start: float) -> float | None:
-    if config.wall_clock_budget is None or config.wall_clock_mode != "total":
-        return None
-    return start + config.wall_clock_budget
+def drive(strategy, oracle, budget: int, noise_rng: np.random.Generator, *,
+          name: str, seed: int, deadline: float | None = None,
+          time_budget: float | None = None) -> RunTrace:
+    """Alternate `strategy.ask(step)`, one oracle call and `strategy.tell(x, obs)`.
 
-
-def run_comex(oracle, config: ExperimentConfig, seed: int) -> RunTrace:
-    """The optimizer outer loop: advance the acquisition walk over the
-    surrogate, query the oracle, update the model.
-
-    The acquisition is one persistent walk whose temperature cools with the
-    outer step counter; each step advances it by `inner_iters` proposals on
-    the current surrogate. Stops at the evaluation budget or the wall-clock
-    budget, whichever comes first; the wall clock is only checked between
-    steps. An oracle failure aborts the run and preserves the partial trace
-    (flagged, with message).
+    Before every call but the first, the run stops (truncated) once the
+    perf_counter `deadline` or the algorithm-time (ask + tell) `time_budget`
+    is reached. An oracle exception aborts the run and keeps the earlier
+    steps; if the first call fails there is no trace, and a RuntimeError.
     """
-    constraint = oracle.constraint
-    d = constraint.d
-    acq_rng, noise_rng = [np.random.default_rng(s)
-                          for s in np.random.SeedSequence(seed).spawn(2)]
-    model = MonomialSurrogate(MonomialBasis(d, config.m), config.sparsity,
-                              learning_rate=config.eta)
-    schedule = AnnealSchedule(config.omega, d)
-    inner = config.resolved_inner_iters(d)
-    counting = CountingOracle(oracle)
-
-    rows: list[dict] = []
-    seen: set[bytes] = set()
-    chain = None      # persistent acquisition walk state
-    incumbent = None
-    best_obs = np.inf
-    algorithm_time = 0.0
-    truncated = aborted = False
-    error = None
-    start = time.perf_counter()
-    deadline = _deadline(config, start)
-
-    for step in range(config.budget):
-        if deadline is not None and time.perf_counter() >= deadline:
-            truncated = True
-            break
-        if (config.wall_clock_budget is not None and config.wall_clock_mode == "algorithm"
-                and algorithm_time >= config.wall_clock_budget):
-            truncated = True
-            break
-
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    rows, algorithm_time = [], 0.0
+    for step in range(budget):
+        if step and ((deadline is not None and time.perf_counter() >= deadline)
+                     or (time_budget is not None and algorithm_time >= time_budget)):
+            return build_trace(name, seed, rows, oracle, truncated=True)
         t0 = time.perf_counter()
-        seed_point = incumbent if config.warm_start else chain
-        x = propose_query(model, constraint, schedule, inner, acq_rng,
-                          step=step, x_init=seed_point, n_chains=config.acq_chains)
-        if config.dedup and x.tobytes() in seen:
-            x = propose_query(model, constraint, schedule, inner, acq_rng, step=step)
+        x = strategy.ask(step)
         acq_time = time.perf_counter() - t0
-
         try:
-            raw, obs = counting.observe(x, noise_rng)
+            raw, obs = oracle.observe(x, noise_rng)
         except Exception as exc:  # noqa: BLE001 - partial trace must survive
-            aborted = True
             error = f"{type(exc).__name__}: {exc}"
-            break
-
+            if not rows:
+                raise RuntimeError(f"{name}: the first oracle call failed, "
+                                   f"so the run has no trace ({error})") from exc
+            return build_trace(name, seed, rows, oracle, aborted=True, error=error)
         t1 = time.perf_counter()
-        model.update(x, obs)
+        strategy.tell(x, obs)
         update_time = time.perf_counter() - t1
-
-        chain = x
-        seen.add(x.tobytes())
-        if obs < best_obs:
-            best_obs, incumbent = obs, x
         algorithm_time += acq_time + update_time
         rows.append({"query_bits": to_bits(x), "raw": raw, "scaled": obs,
                      "acq_time": acq_time, "update_time": update_time})
+    return build_trace(name, seed, rows, oracle)
 
-    assert counting.calls == len(rows) + (1 if aborted else 0)
-    return build_trace("comex", seed, rows, oracle,
-                       truncated=truncated, aborted=aborted, error=error)
+
+class ComexStrategy:
+    """The optimizer: `ask` advances the persistent acquisition walk over the
+    surrogate by `inner_iters` proposals (from the incumbent under warm start;
+    once more from a fresh point under dedup when it repeats a query), and
+    `tell` updates the monomial experts."""
+
+    def __init__(self, constraint, config: ExperimentConfig, rng: np.random.Generator):
+        d = constraint.d
+        self.config = config
+        self.model = MonomialSurrogate(MonomialBasis(d, config.m), config.sparsity,
+                                       learning_rate=config.eta)
+        self.propose = partial(propose_query, self.model, constraint,
+                               AnnealSchedule(config.omega, d),
+                               config.resolved_inner_iters(d), rng)
+        self.seen: set[bytes] = set()
+        self.chain = self.incumbent = None
+        self.best_obs = np.inf
+
+    def ask(self, step: int) -> np.ndarray:
+        start = self.incumbent if self.config.warm_start else self.chain
+        x = self.propose(step=step, x_init=start, n_chains=self.config.acq_chains)
+        if self.config.dedup and x.tobytes() in self.seen:
+            x = self.propose(step=step)
+        return x
+
+    def tell(self, x: np.ndarray, obs: float) -> None:
+        self.model.update(x, obs)
+        self.chain = x
+        self.seen.add(x.tobytes())
+        if obs < self.best_obs:
+            self.best_obs, self.incumbent = obs, x
+
+
+def _run(algorithm: str, oracle, config: ExperimentConfig, seed: int) -> RunTrace:
+    from .baselines import DirectAnnealing, RandomSearch  # baselines imports `drive`
+
+    acq_rng, noise_rng = [np.random.default_rng(s)
+                          for s in np.random.SeedSequence(seed).spawn(2)]
+    if algorithm == "comex":
+        strategy = ComexStrategy(oracle.constraint, config, acq_rng)
+    elif algorithm == "rs":
+        strategy = RandomSearch(oracle.constraint, acq_rng)
+    elif algorithm == "sa":
+        strategy = DirectAnnealing(oracle.constraint, config.omega, acq_rng)
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    limit = config.wall_clock_budget
+    total_clock = limit is not None and config.wall_clock_mode == "total"
+    return drive(strategy, oracle, config.budget, noise_rng, name=algorithm, seed=seed,
+                 deadline=time.perf_counter() + limit if total_clock else None,
+                 time_budget=None if total_clock else limit)
+
+
+def run_comex(oracle, config: ExperimentConfig, seed: int) -> RunTrace:
+    """One COMEX run on `oracle`, with the budgets and options of `config`."""
+    return _run("comex", oracle, config, seed)
 
 
 def run_single(config: ExperimentConfig, seed: int) -> RunTrace:
     """Build the instance and run one algorithm for one seed."""
     _, oracle = build_problem(config)
-    if config.algorithm == "comex":
-        return run_comex(oracle, config, seed)
-    acq_rng, noise_rng = [np.random.default_rng(s)
-                          for s in np.random.SeedSequence(seed).spawn(2)]
-    start = time.perf_counter()
-    deadline = _deadline(config, start)
-    if config.algorithm == "rs":
-        return random_search(oracle, config.budget, acq_rng, noise_rng,
-                             deadline=deadline, seed=seed)
-    if config.algorithm == "sa":
-        return simulated_annealing_direct(oracle, config.budget, config.omega,
-                                          acq_rng, noise_rng, deadline=deadline,
-                                          seed=seed)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    return _run(config.algorithm, oracle, config, seed)
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunTrace]:
-    """Run every seed; fan out across processes when COMEX_THREADS > 1."""
+    """Build the instance once and run every seed on it; fan out across
+    processes when COMEX_THREADS > 1."""
+    _, oracle = build_problem(config)
+    run = partial(_run, config.algorithm, oracle, config)
     workers = int(os.environ.get("COMEX_THREADS", "1"))
     if workers > 1 and len(config.seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_single, [config] * len(config.seeds), config.seeds))
-    return [run_single(config, seed) for seed in config.seeds]
+            return list(pool.map(run, config.seeds))
+    return [run(seed) for seed in config.seeds]
 
 
 def read_config_file(path) -> dict[str, str]:

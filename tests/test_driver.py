@@ -1,0 +1,109 @@
+"""The shared run loop: every algorithm aborts, truncates and shares an
+instance the same way."""
+
+import numpy as np
+import pytest
+
+from comex import harness
+from comex.baselines import random_search, simulated_annealing_direct
+from comex.benchmarks import Known, Oracle
+from comex.domain import Unconstrained
+from comex.harness import ExperimentConfig, run_comex, run_experiment, run_single
+
+ALGORITHMS = ("comex", "rs", "sa")
+
+
+def failing_oracle(fail_at: int, mode: str) -> Oracle:
+    """Linear objective on d=6 whose call number `fail_at` onwards fails,
+    either by returning NaN or by raising."""
+    calls = {"n": 0}
+
+    def raw(x):
+        calls["n"] += 1
+        if calls["n"] >= fail_at:
+            if mode == "nan":
+                return float("nan")
+            raise RuntimeError("black box fell over")
+        return float(np.sum(x))
+
+    return Oracle("flaky", Unconstrained(6), raw, Known(-6.0, 6.0))
+
+
+def run_on(algorithm: str, oracle: Oracle, budget: int = 10):
+    """Each algorithm through its public entry point on a given oracle."""
+    if algorithm == "comex":
+        return run_comex(oracle, ExperimentConfig(budget=budget), seed=0)
+    rng = np.random.default_rng(0)
+    if algorithm == "rs":
+        return random_search(oracle, budget, rng)
+    return simulated_annealing_direct(oracle, budget, 1.0, rng)
+
+
+def tiny_config(**kwargs) -> ExperimentConfig:
+    defaults = dict(problem="nqueens", budget=40, problem_params={"n": 4})
+    defaults.update(kwargs)
+    return ExperimentConfig(**defaults)
+
+
+@pytest.mark.parametrize("mode", ["nan", "raises"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_oracle_failure_aborts_with_partial_trace(algorithm, mode):
+    trace = run_on(algorithm, failing_oracle(3, mode))
+    assert trace.aborted and not trace.truncated
+    assert len(trace) == 2
+    assert np.all(np.isfinite(trace.regret))
+    expected = "not finite" if mode == "nan" else "black box fell over"
+    assert expected in trace.error
+    if mode == "nan":
+        assert "'flaky'" in trace.error
+
+
+@pytest.mark.parametrize("mode", ["nan", "raises"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_failure_at_first_call_raises_one_clear_error(algorithm, mode):
+    with pytest.raises(RuntimeError, match=f"{algorithm}: the first oracle call failed"):
+        run_on(algorithm, failing_oracle(1, mode))
+
+
+def test_observe_rejects_non_finite_values():
+    oracle = Oracle("blank", Unconstrained(2), lambda x: float("inf"), Known(0.0, 1.0))
+    with pytest.raises(ValueError, match="oracle 'blank' returned inf"):
+        oracle.observe(np.ones(2))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_algorithm_clock_truncates_every_algorithm(algorithm):
+    trace = run_single(tiny_config(algorithm=algorithm, wall_clock_budget=1e-6,
+                                   wall_clock_mode="algorithm"), seed=0)
+    assert trace.truncated and not trace.aborted
+    assert 1 <= len(trace) < 40
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_passed_total_deadline_keeps_one_evaluation(algorithm):
+    trace = run_single(tiny_config(algorithm=algorithm, wall_clock_budget=0.0), seed=0)
+    assert trace.truncated
+    assert len(trace) == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_experiment_builds_the_instance_once(monkeypatch, threads):
+    builds = []
+    build = harness.build_problem
+
+    def counting_build(config):
+        builds.append(config)
+        return build(config)
+
+    monkeypatch.setattr(harness, "build_problem", counting_build)
+    monkeypatch.setenv("COMEX_THREADS", threads)
+    config = ExperimentConfig(problem="ising", algorithm="comex", budget=3,
+                              seeds=(0, 1, 2), problem_params={"rows": 3, "cols": 3})
+    traces = run_experiment(config)
+    assert len(builds) == 1
+    for seed, trace in zip(config.seeds, traces):
+        alone = run_single(config, seed)
+        assert trace.seed == seed
+        assert np.array_equal(trace.raw_values, alone.raw_values)
+        assert np.array_equal(trace.scaled_values, alone.scaled_values)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.queries, alone.queries))

@@ -1,0 +1,65 @@
+"""Recorded digests of small runs: every algorithm on every problem.
+
+A run is a pure function of its seeds, so queries, values and regret must
+reproduce bit-exactly. Each digest is the first 16 hex digits of a SHA-256
+over the query bit strings or the little-endian float64 bytes of a value
+array. A changed digest means the draw order of the acquisition or noise
+streams (or the arithmetic of an oracle) has changed.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from comex.harness import ExperimentConfig, run_single
+
+PARAMS = {
+    "contamination": {"d": 8},
+    "nqueens": {"n": 4},
+    "ising": {"rows": 3, "cols": 3},
+}
+BUDGETS = {"comex": 6, "rs": 15, "sa": 15}
+
+# (queries, raw_values, scaled_values, regret) for seed 3 on instance seed 1.
+GOLDEN = {
+    ("contamination", "comex"): ("b4e21f0d9789c6c4", "96116643aac88f4f",
+                                 "78735dfaaa720690", "1a10575096f09f6e"),
+    ("contamination", "rs"): ("4b803a6807201847", "a08187813f94089e",
+                              "2f2183b37e059e28", "0107d8f771bb569d"),
+    ("contamination", "sa"): ("76c1c26c18cf94cd", "d40d974c09469566",
+                              "1eac00e7935c21fe", "31d48bd960f93e22"),
+    ("nqueens", "comex"): ("b7c15274f0958853", "fb9292e43e7eee46",
+                           "6310f07344536242", "af62da8773200d5c"),
+    ("nqueens", "rs"): ("47845cb5eddf7a4b", "5f650f45e9568f80",
+                        "bdd42ce19a5ccff7", "b643739bf9a8fb95"),
+    ("nqueens", "sa"): ("bc654e5e80a0d53f", "7ad4b5078f14a545",
+                        "21ded69f5db7aa70", "b643739bf9a8fb95"),
+    ("ising", "comex"): ("30101726df9e3145", "51d3fc83c9673862",
+                         "7d8e8478817cef56", "6cb3addfe4c6f1da"),
+    ("ising", "rs"): ("baeded70af70905e", "6a5c9905e7ec9bf3",
+                      "1feb0ab69ea87842", "972b53246123627f"),
+    ("ising", "sa"): ("1ca385c0d6837d29", "d0f39e2720711220",
+                      "a10644ab5e736250", "2fc16ee42537de7f"),
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def trace_digests(trace) -> tuple[str, ...]:
+    queries = "".join("".join(str(int(b)) for b in q) + "|" for q in trace.queries)
+    values = [np.asarray(v, dtype="<f8").tobytes()
+              for v in (trace.raw_values, trace.scaled_values, trace.regret)]
+    return (_digest(queries.encode()), *(_digest(v) for v in values))
+
+
+@pytest.mark.parametrize("problem, algorithm", sorted(GOLDEN))
+def test_recorded_runs_reproduce(problem, algorithm):
+    config = ExperimentConfig(problem=problem, algorithm=algorithm,
+                              budget=BUDGETS[algorithm], seeds=(3,),
+                              problem_params=PARAMS[problem], instance_seed=1)
+    trace = run_single(config, seed=3)
+    assert len(trace) == BUDGETS[algorithm]
+    assert trace_digests(trace) == GOLDEN[(problem, algorithm)]
