@@ -8,10 +8,12 @@ and the target coefficients shrink with every update.
 import numpy as np
 
 from comex import (
+    LocalField,
     MonomialBasis,
     MonomialSurrogate,
     TrueCoefficients,
     Unconstrained,
+    apply_flips,
     kl_divergence,
     sample_uniform,
 )
@@ -47,10 +49,14 @@ for i in top:
     print(f"  {basis.terms[i]!s:12s} learned {model.coefficients[i]:+.4f} "
           f"(target {alpha[i]:+.4f})")
 
-print("\nflip corrections let local search score a neighbor without")
-print("recomputing the whole feature vector:")
+print("\nthe acquisition walk scores a move from a local field it keeps up to")
+print("date, without recomputing the feature vector; here against predict:")
 x = sample_uniform(cube, rng)
 fx = model.predict(x)
-print(f"predict(x)            = {fx:+.6f}")
-print(f"flip coordinate 3     = {model.predict_flip_delta(x, fx, 3):+.6f}")
-print(f"swap coordinates 1,4  = {model.predict_two_flip_delta(x, fx, 1, 4):+.6f}")
+field = LocalField(model, x)
+print(f"predict(x) = {fx:+.6f}")
+print("move                   field delta   predict difference")
+print(f"flip coordinate 3      {field.flip_delta(3):+.6f}     "
+      f"{model.predict(apply_flips(x, (3,))) - fx:+.6f}")
+print(f"swap coordinates 1,4   {field.swap_delta(1, 4):+.6f}     "
+      f"{model.predict(apply_flips(x, (1, 4))) - fx:+.6f}")

@@ -10,6 +10,7 @@ experiment harness with a CLI (see `comex --help`).
 from .acquisition import (
     AnnealSchedule,
     BoltzmannPmf,
+    LocalField,
     exponential_acquisition_audit,
     exponential_pmf,
     pmf_kl,

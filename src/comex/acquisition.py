@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 from .domain import (
     ConstraintSet,
+    SumConstrained,
     Unconstrained,
     apply_flips,
     contains,
@@ -23,6 +24,7 @@ from .surrogate import MonomialBasis, MonomialSurrogate, TrueCoefficients, kl_di
 __all__ = [
     "AnnealSchedule",
     "simulated_annealing",
+    "LocalField",
     "propose_query",
     "BoltzmannPmf",
     "exponential_pmf",
@@ -60,17 +62,15 @@ def _accept_probability(delta: float, temperature: float) -> float:
 
 
 def simulated_annealing(score, constraint: ConstraintSet, schedule,
-                        n_iters: int, x_init, rng: np.random.Generator,
-                        move_score=None) -> np.ndarray:
+                        n_iters: int, x_init, rng: np.random.Generator) -> np.ndarray:
     """Annealed walk minimizing `score`; returns the final point of the chain.
 
     `schedule` is any callable t -> temperature (an AnnealSchedule or a
-    constant). Each iteration draws one uniform neighbor; an improving (or
-    equal) proposal is always accepted, a worsening one with probability
-    exp(-(cand - current)/s(t)). When `move_score(x, fx, move)` is given,
-    neighbors are scored incrementally without materializing the flipped
-    point (the surrogate's flip corrections); otherwise `score` is called on
-    the flipped point directly.
+    constant). Each iteration draws one uniform neighbor and calls `score` on
+    it; an improving (or equal) proposal is always accepted, a worsening one
+    with probability exp(-(cand - current)/s(t)). This is the generic walk for
+    arbitrary score callables; the acquisition walk over the surrogate is
+    LocalField.walk.
     """
     x = np.asarray(x_init, dtype=np.float64).copy()
     if not contains(constraint, x):
@@ -80,23 +80,156 @@ def simulated_annealing(score, constraint: ConstraintSet, schedule,
     fx = float(score(x))
     for t in range(n_iters):
         move = neighbor_move(constraint, x, rng)
-        if move_score is not None:
-            cand = float(move_score(x, fx, move))
-        else:
-            cand = float(score(apply_flips(x, move)))
+        cand = float(score(apply_flips(x, move)))
         if cand <= fx or rng.random() <= _accept_probability(cand - fx, schedule(t)):
             x[list(move)] *= -1.0
             fx = cand
     return x
 
 
-def _surrogate_move_score(model: MonomialSurrogate):
-    def move_score(x, fx, move):
-        if len(move) == 1:
-            return model.predict_flip_delta(x, fx, move[0])
-        return model.predict_two_flip_delta(x, fx, move[0], move[1])
+class LocalField:
+    """The surrogate's one- and two-coordinate move deltas at a walk point,
+    kept up to date as the point moves.
 
-    return move_score
+    This is the incremental local-field form of Metropolis used by Ising
+    annealers. Write the surrogate with coefficients a as
+
+        f(x) = a_0 + lin . x + x^T A x / 2 + sum_{|I| >= 3} c_I,
+
+    where A is symmetric with a zero diagonal and c_I = a_I psi_I(x). With
+    the field h = lin + A x and g_i = sum of c_I over the degree >= 3 terms
+    I containing i, flipping coordinate i changes f by
+
+        -2 (x_i h_i + g_i),
+
+    and flipping i and j together changes it by
+
+        -2 (x_i h_i + x_j h_j + g_i + g_j) + 4 A_ij x_i x_j + 4 s_ij,
+
+    where s_ij is the sum of c_I over the degree >= 3 terms containing both.
+
+    Accepting a flip of k is the row update h -= 2 x_k A[k] and, for the
+    degree >= 3 terms containing k, negating their c_I and folding the
+    change into g. For m <= 2 the degree >= 3 part is empty.
+    """
+
+    def __init__(self, model: MonomialSurrogate, x):
+        basis = model.basis
+        a = model.coefficients
+        self.basis = basis
+        self.x = np.array(x, dtype=np.float64)
+        if self.x.shape != (basis.d,):
+            raise ValueError(f"point has shape {self.x.shape}, basis expects ({basis.d},)")
+        rows, cols = basis.pair_coords.T
+        A = np.zeros((basis.d, basis.d))
+        A[rows, cols] = a[basis.pair_ids]
+        A += A.T
+        self._A = A
+        self._h = a[basis.linear_ids] + A @ self.x
+        x_aug = np.append(self.x, 1.0)
+        self._c = a[basis.high_ids] * np.prod(x_aug[basis.high_coords], axis=1)
+        self._g = self._fold(basis.high_coords, self._c)
+
+    def _fold(self, coords: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """sum of c_I over the given terms I containing i, for every i."""
+        d = self.basis.d
+        return np.bincount(coords.ravel(), weights=np.repeat(c, coords.shape[1]),
+                           minlength=d + 1)[:d]
+
+    def flip_delta(self, i: int) -> float:
+        """f(x with coordinate i flipped) - f(x)."""
+        return float(-2.0 * (self.x[i] * self._h[i] + self._g[i]))
+
+    def swap_delta(self, i: int, j: int) -> float:
+        """f(x with coordinates i and j both flipped) - f(x), for i != j."""
+        if i == j:
+            raise ValueError("a two-coordinate move needs two distinct coordinates")
+        x, h, g = self.x, self._h, self._g
+        delta = (-2.0 * (x[i] * h[i] + x[j] * h[j] + g[i] + g[j])
+                 + 4.0 * self._A[i, j] * x[i] * x[j])
+        return float(delta + 4.0 * self._pair_sum(i, j))
+
+    def _pair_sum(self, i: int, j: int) -> float:
+        """sum of c_I over the degree >= 3 terms I containing i and j."""
+        pos = self.basis.high_containing[i]
+        both = (self.basis.high_coords[pos] == j).any(axis=1)
+        return float(self._c[pos[both]].sum())
+
+    def _negate_high(self, k: int) -> None:
+        """Flip the sign of c_I for the degree >= 3 terms containing k."""
+        pos = self.basis.high_containing[k]
+        old = self._c[pos]
+        self._c[pos] = -old
+        self._g -= 2.0 * self._fold(self.basis.high_coords[pos], old)
+
+    def walk(self, constraint: ConstraintSet, temperature: float, n_iters: int,
+             rng: np.random.Generator) -> np.ndarray:
+        """n_iters Metropolis proposals at one temperature; returns the final point.
+
+        The randomness is drawn before the walk, one rng call per array:
+        first the moves (unconstrained: the coordinate to flip; sum-
+        constrained: a position in the list of +1 coordinates, then a
+        position in the list of -1 coordinates, whose entries trade places
+        when the swap is accepted), then one uniform u per proposal. A
+        proposal is accepted when its delta is at most
+        -temperature * log(1 - u): always when it does not raise the
+        surrogate, otherwise with probability exp(-delta / temperature).
+        """
+        if not contains(constraint, self.x):
+            raise ValueError("initial point does not satisfy the constraint set")
+        if n_iters <= 0:
+            return self.x.copy()
+        h, g = self._h, self._g
+        h_at = h.item
+        rows = list(2.0 * self._A)
+        high = self._c.size > 0
+        if isinstance(constraint, SumConstrained):
+            plus = np.flatnonzero(self.x == 1.0).tolist()
+            minus = np.flatnonzero(self.x == -1.0).tolist()
+            take_plus = rng.integers(len(plus), size=n_iters).tolist()
+            take_minus = rng.integers(len(minus), size=n_iters).tolist()
+            limits = _acceptance_limits(temperature, n_iters, rng)
+            quad = (4.0 * self._A).tolist()
+            for a, b, limit in zip(take_plus, take_minus, limits):
+                i, j = plus[a], minus[b]        # x_i = +1, x_j = -1
+                delta = 2.0 * (h_at(j) - h_at(i)) - quad[i][j]
+                if high:
+                    delta += 4.0 * self._pair_sum(i, j) - 2.0 * (g[i] + g[j])
+                if delta <= limit:
+                    plus[a], minus[b] = j, i
+                    h -= rows[i]
+                    h += rows[j]
+                    if high:
+                        self._negate_high(i)
+                        self._negate_high(j)
+            self.x[:] = -1.0
+            self.x[plus] = 1.0
+        else:
+            x = self.x.tolist()
+            flips = rng.integers(self.basis.d, size=n_iters).tolist()
+            limits = _acceptance_limits(temperature, n_iters, rng)
+            for i, limit in zip(flips, limits):
+                xi = x[i]
+                delta = -2.0 * xi * h_at(i)
+                if high:
+                    delta -= 2.0 * g[i]
+                if delta <= limit:
+                    if xi > 0.0:
+                        h -= rows[i]
+                    else:
+                        h += rows[i]
+                    x[i] = -xi
+                    if high:
+                        self._negate_high(i)
+            self.x[:] = x
+        return self.x.copy()
+
+
+def _acceptance_limits(temperature: float, n: int, rng: np.random.Generator) -> list[float]:
+    """-temperature * log(1 - u) for n uniforms u: a proposal whose delta is
+    at most its limit is accepted, which happens with probability
+    min(1, exp(-delta / temperature))."""
+    return (temperature * -np.log1p(-rng.random(n))).tolist()
 
 
 def propose_query(model: MonomialSurrogate, constraint: ConstraintSet,
@@ -110,19 +243,18 @@ def propose_query(model: MonomialSurrogate, constraint: ConstraintSet,
     (a fully cooled per-step anneal collapses onto the surrogate argmin and
     deadlocks on noiseless objectives). At s(step) the walk is a Metropolis
     sampler of exp(-prediction/s), the acquisition distribution the
-    Boltzmann audit analyzes. `x_init` continues the persistent chain; when
-    None the chain starts fresh from a uniform point. With several chains
-    the first continues from x_init, the rest restart uniformly, and the
-    lowest-scoring final point wins; chains run sequentially so the result
-    is a pure function of the rng.
+    Boltzmann audit analyzes; each proposal is scored from a LocalField.
+    `x_init` continues the persistent chain; when None the chain starts
+    fresh from a uniform point. With several chains the first continues
+    from x_init, the rest restart uniformly, and the lowest-scoring final
+    point wins; chains run sequentially so the result is a pure function of
+    the rng.
     """
     temperature = schedule(step)
     best_x, best_fx = None, math.inf
     for chain in range(max(1, n_chains)):
         start = x_init if (chain == 0 and x_init is not None) else sample_uniform(constraint, rng)
-        x = simulated_annealing(model.predict, constraint, lambda _: temperature,
-                                n_iters, start, rng,
-                                move_score=_surrogate_move_score(model))
+        x = LocalField(model, start).walk(constraint, temperature, n_iters, rng)
         fx = model.predict(x)
         if fx < best_fx:
             best_x, best_fx = x, fx

@@ -21,8 +21,12 @@ class MonomialBasis:
 
     Terms are sorted by ascending degree, then lexicographically; term 0 is
     the constant monomial (empty set). The basis also stores, for every
-    coordinate, the positions of the terms containing it, so that the effect
-    of a single sign flip can be computed from those terms alone.
+    coordinate, the positions of the terms containing it, and the index
+    tables the acquisition walk's local field reads (see
+    comex.acquisition.LocalField): the positions of the degree-1 terms in
+    coordinate order, the positions and coordinate pairs of the degree-2
+    terms, and for the terms of degree >= 3 their padded coordinates and,
+    per coordinate, the positions among them of the terms containing it.
     """
 
     def __init__(self, d: int, m: int):
@@ -51,7 +55,17 @@ class MonomialBasis:
             for i in term:
                 containing[i].append(tid)
         self._inv_ids = [np.asarray(ids, dtype=np.int64) for ids in containing]
-        self._inv_vars = [padded[ids] for ids in self._inv_ids]
+
+        degree = np.array([len(term) for term in self.terms])
+        self.linear_ids = np.flatnonzero(degree == 1)
+        self.pair_ids = np.flatnonzero(degree == 2)
+        self.pair_coords = padded[self.pair_ids, :2].reshape(-1, 2)
+        self.high_ids = np.flatnonzero(degree >= 3)
+        self.high_coords = padded[self.high_ids]
+        # Terms are sorted by degree, so the degree >= 3 ones are a suffix.
+        first_high = self.p - self.high_ids.size
+        self.high_containing = [ids[ids >= first_high] - first_high
+                                for ids in self._inv_ids]
 
     def __repr__(self):
         return f"MonomialBasis(d={self.d}, m={self.m}, p={self.p})"
@@ -71,25 +85,6 @@ class MonomialBasis:
         if not 0 <= i < self.d:
             raise IndexError(f"coordinate {i} out of range for d={self.d}")
         return self._inv_ids[i]
-
-    def flip_weight_sum(self, x_aug: np.ndarray, coeffs: np.ndarray, i: int) -> float:
-        """sum over terms I containing i of coeffs[I] * psi_I(x).
-
-        x_aug must be the point extended by a trailing 1.0 (see features).
-        """
-        if not 0 <= i < self.d:
-            raise IndexError(f"coordinate {i} out of range for d={self.d}")
-        values = np.prod(x_aug[self._inv_vars[i]], axis=1)
-        return float(coeffs[self._inv_ids[i]] @ values)
-
-    def swap_weight_sum(self, x_aug: np.ndarray, coeffs: np.ndarray, i: int, j: int) -> float:
-        """Like flip_weight_sum for j, but evaluated on x with i already flipped."""
-        if not 0 <= j < self.d:
-            raise IndexError(f"coordinate {j} out of range for d={self.d}")
-        vars_j = self._inv_vars[j]
-        values = np.prod(x_aug[vars_j], axis=1)
-        sign = np.where((vars_j == i).any(axis=1), -1.0, 1.0)
-        return float(coeffs[self._inv_ids[j]] @ (sign * values))
 
 
 def enumerate_basis(d: int, m: int) -> MonomialBasis:

@@ -153,12 +153,13 @@ def _run_command(args, argv) -> int:
         problem_params=_problem_params(args),
     )
 
+    oracle = None
     if args.save_instance:
-        problem, _ = build_problem(config)
+        problem, oracle = build_problem(config)
         save_instance(problem, args.save_instance)
         print(f"instance written to {args.save_instance}")
 
-    traces = run_experiment(config)
+    traces = run_experiment(config, oracle)
     summary = summarize(traces)
     print(f"{config.problem} / {config.algorithm}: {summary.n_runs} run(s), "
           f"{summary.length} steps")

@@ -186,12 +186,25 @@ def run_single(config: ExperimentConfig, seed: int) -> RunTrace:
     return _run(config.algorithm, oracle, config, seed)
 
 
-def run_experiment(config: ExperimentConfig) -> list[RunTrace]:
-    """Build the instance once and run every seed on it; fan out across
-    processes when COMEX_THREADS > 1."""
-    _, oracle = build_problem(config)
+def _worker_count() -> int:
+    """The COMEX_THREADS process count (default 1), validated."""
+    value = os.environ.get("COMEX_THREADS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"COMEX_THREADS must be a positive integer, got {value!r}")
+    return workers
+
+
+def run_experiment(config: ExperimentConfig, oracle=None) -> list[RunTrace]:
+    """Run every seed on one instance: `oracle` when given, else the one
+    built from `config`. Seeds fan out across processes when COMEX_THREADS > 1."""
+    workers = _worker_count()
+    if oracle is None:
+        _, oracle = build_problem(config)
     run = partial(_run, config.algorithm, oracle, config)
-    workers = int(os.environ.get("COMEX_THREADS", "1"))
     if workers > 1 and len(config.seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, config.seeds))

@@ -136,26 +136,6 @@ class MonomialSurrogate:
         """Surrogate value at x; always within +/- total weight mass."""
         return float(self._eff @ self.basis.features(x))
 
-    def predict_flip_delta(self, x, fx_hat: float, i: int) -> float:
-        """Prediction at x with coordinate i sign-flipped.
-
-        fx_hat must equal predict(x); only the terms containing i are touched.
-        """
-        x_aug = self.basis._augment(x)
-        return fx_hat - 2.0 * self.basis.flip_weight_sum(x_aug, self._eff, i)
-
-    def predict_two_flip_delta(self, x, fx_hat: float, i: int, j: int) -> float:
-        """Prediction at x with coordinates i and j both flipped (a swap move).
-
-        Computed as two chained single-flip corrections; the second flip is
-        evaluated on the point with i already flipped, which negates the
-        monomials containing both coordinates.
-        """
-        x_aug = self.basis._augment(x)
-        s_i = self.basis.flip_weight_sum(x_aug, self._eff, i)
-        s_j = self.basis.swap_weight_sum(x_aug, self._eff, i, j)
-        return fx_hat - 2.0 * (s_i + s_j)
-
     def update(self, x, fx: float) -> UpdateDiagnostics:
         """One observation step: reweight all experts and renormalize.
 
@@ -226,6 +206,8 @@ class MonomialSurrogate:
 
     @classmethod
     def load(cls, path) -> "MonomialSurrogate":
+        """Read a checkpoint written by save; a missing or malformed key, or a
+        weight that is negative or not finite, raises ValueError naming it."""
         text = Path(path).read_text().strip().splitlines()
         if not text or text[0].strip() != "comex-surrogate-v1":
             raise ValueError(f"{path}: not a surrogate checkpoint")
@@ -233,16 +215,36 @@ class MonomialSurrogate:
         for line in text[1:]:
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-        basis = MonomialBasis(int(fields["d"]), int(fields["m"]))
-        eta = None if fields["lr_mode"] == "adaptive" else float.fromhex(fields["lr_eta"])
-        model = cls(basis, float.fromhex(fields["sparsity"]), learning_rate=eta)
-        model.lr.t = int(fields["lr_t"])
-        model.lr.e = float.fromhex(fields["lr_e"])
-        model.lr.v = float.fromhex(fields["lr_v"])
-        model.w_plus = np.array([float.fromhex(v) for v in fields["w_plus"].split()])
-        model.w_minus = np.array([float.fromhex(v) for v in fields["w_minus"].split()])
-        if model.w_plus.size != basis.p or model.w_minus.size != basis.p:
-            raise ValueError(f"{path}: weight arrays do not match basis size")
+
+        def read(key, parse=float.fromhex):
+            if key not in fields:
+                raise ValueError(f"{path}: checkpoint has no {key!r}")
+            try:
+                return parse(fields[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad {key!r}: {exc}") from None
+
+        def lr_mode(value):
+            if value not in ("adaptive", "fixed"):
+                raise ValueError(f"expected 'adaptive' or 'fixed', got {value!r}")
+            return value
+
+        def weights(value):
+            w = np.array([float.fromhex(v) for v in value.split()])
+            if w.size != basis.p:
+                raise ValueError(f"{w.size} weights for a basis of {basis.p} terms")
+            if not np.all(np.isfinite(w) & (w >= 0.0)):
+                raise ValueError("weights must be finite and nonnegative")
+            return w
+
+        basis = MonomialBasis(read("d", int), read("m", int))
+        eta = None if read("lr_mode", lr_mode) == "adaptive" else read("lr_eta")
+        model = cls(basis, read("sparsity"), learning_rate=eta)
+        model.lr.t = read("lr_t", int)
+        model.lr.e = read("lr_e")
+        model.lr.v = read("lr_v")
+        model.w_plus = read("w_plus", weights)
+        model.w_minus = read("w_minus", weights)
         model._eff = model.w_plus - model.w_minus
         return model
 

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comex.acquisition import (
     AnnealSchedule,
+    LocalField,
     exponential_acquisition_audit,
     exponential_pmf,
     pmf_kl,
@@ -15,6 +19,7 @@ from comex.basis import MonomialBasis
 from comex.domain import (
     SumConstrained,
     Unconstrained,
+    apply_flips,
     contains,
     enumerate_points,
     hamming_distance,
@@ -148,24 +153,98 @@ def test_huge_decay_gives_monotone_trajectory_after_cooldown():
     assert current <= scores[0]
 
 
-def test_move_score_agrees_with_direct_scoring():
-    rng = np.random.default_rng(5)
-    basis = MonomialBasis(7, 2)
-    model = MonomialSurrogate(basis, 1.0, learning_rate=0.1)
-    for _ in range(10):
-        model.update(sample_uniform(Unconstrained(7), rng), rng.uniform(-1, 1))
-    c = SumConstrained(7, 3)
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
-    sched = AnnealSchedule(1.0, 7)
-    from comex.acquisition import _surrogate_move_score
+# -- the local-field acquisition walk -----------------------------------------
 
-    x_fast = simulated_annealing(model.predict, c, sched, 50,
-                                 sample_uniform(c, np.random.default_rng(9)), rng_a,
-                                 move_score=_surrogate_move_score(model))
-    x_slow = simulated_annealing(model.predict, c, sched, 50,
-                                 sample_uniform(c, np.random.default_rng(9)), rng_b)
-    assert np.array_equal(x_fast, x_slow)
+
+def walk_case(d, m, constrained, seed):
+    """A surrogate fitted to a few random values, a constraint set and a
+    temperature, all from one seed."""
+    rng = np.random.default_rng(seed)
+    model = MonomialSurrogate(MonomialBasis(d, m), 1.0, learning_rate=0.3)
+    for _ in range(int(rng.integers(1, 12))):
+        model.update(sample_uniform(Unconstrained(d), rng), rng.uniform(-1.0, 1.0))
+    constraint = SumConstrained(d, int(rng.integers(1, d))) if constrained else Unconstrained(d)
+    return rng, model, constraint, float(rng.uniform(0.01, 1.0))
+
+
+def literal_walk(model, constraint, temperature, n_iters, x, rng):
+    """Reference walk: the batched draws of LocalField.walk, every candidate
+    scored with model.predict and accepted by the textbook Metropolis rule."""
+    x = np.array(x, dtype=np.float64)
+    if isinstance(constraint, SumConstrained):
+        plus = list(np.flatnonzero(x == 1.0))
+        minus = list(np.flatnonzero(x == -1.0))
+        take_plus = rng.integers(len(plus), size=n_iters)
+        take_minus = rng.integers(len(minus), size=n_iters)
+    else:
+        flips = rng.integers(constraint.d, size=n_iters)
+    uniforms = rng.random(n_iters)
+    fx = model.predict(x)
+    for t in range(n_iters):
+        if isinstance(constraint, SumConstrained):
+            a, b = take_plus[t], take_minus[t]
+            move = (plus[a], minus[b])
+        else:
+            move = (flips[t],)
+        y = apply_flips(x, move)
+        cand = model.predict(y)
+        if cand <= fx or 1.0 - uniforms[t] <= math.exp(-(cand - fx) / temperature):
+            x, fx = y, cand
+            if isinstance(constraint, SumConstrained):
+                plus[a], minus[b] = minus[b], plus[a]
+    return x
+
+
+walk_cases = (st.integers(3, 9), st.sampled_from([1, 2, 3]), st.booleans(),
+              st.integers(0, 2**32 - 1))
+
+
+@given(*walk_cases)
+@settings(max_examples=80, deadline=None)
+def test_field_deltas_match_predict_after_walks(d, m, constrained, seed):
+    rng, model, constraint, temperature = walk_case(d, m, constrained, seed)
+    field = LocalField(model, sample_uniform(constraint, rng))
+    for _ in range(3):
+        field.walk(constraint, temperature, int(rng.integers(1, 60)), rng)
+        x = field.x
+        assert contains(constraint, x)
+        fx = model.predict(x)
+        for i in range(d):
+            assert abs(field.flip_delta(i) - (model.predict(apply_flips(x, (i,))) - fx)) <= 1e-12
+        for i, j in itertools.combinations(range(d), 2):
+            swapped = model.predict(apply_flips(x, (i, j)))
+            assert abs(field.swap_delta(i, j) - (swapped - fx)) <= 1e-12
+
+
+@given(*walk_cases, st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_walk_matches_literal_reference(d, m, constrained, seed, n_chains):
+    rng, model, constraint, temperature = walk_case(d, m, constrained, seed)
+    x0 = sample_uniform(constraint, rng)
+    n_iters = 15 * d
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = LocalField(model, x0).walk(constraint, temperature, n_iters, fast_rng)
+    slow = literal_walk(model, constraint, temperature, n_iters, x0, slow_rng)
+    assert np.array_equal(fast, slow)
+    assert fast_rng.random() == slow_rng.random()   # the same draws consumed
+
+    # propose_query: fresh chains start from uniform points, the lowest wins
+    schedule = AnnealSchedule(0.5, d)
+    fast = propose_query(model, constraint, schedule, n_iters, np.random.default_rng(seed),
+                         step=3, x_init=x0, n_chains=n_chains)
+    chains_rng = np.random.default_rng(seed)
+    finals = [literal_walk(model, constraint, schedule(3), n_iters,
+                           x0 if chain == 0 else sample_uniform(constraint, chains_rng),
+                           chains_rng)
+              for chain in range(n_chains)]
+    assert np.array_equal(fast, min(finals, key=model.predict))
+
+
+def test_walk_rejects_a_point_outside_the_constraint():
+    model = MonomialSurrogate(MonomialBasis(4, 2))
+    field = LocalField(model, np.array([1.0, 1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError):
+        field.walk(SumConstrained(4, 2), 1.0, 5, np.random.default_rng(0))
 
 
 def test_propose_query_deterministic_and_feasible():

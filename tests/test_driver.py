@@ -4,7 +4,7 @@ instance the same way."""
 import numpy as np
 import pytest
 
-from comex import harness
+from comex import cli, harness
 from comex.baselines import random_search, simulated_annealing_direct
 from comex.benchmarks import Known, Oracle
 from comex.domain import Unconstrained
@@ -86,8 +86,8 @@ def test_passed_total_deadline_keeps_one_evaluation(algorithm):
     assert len(trace) == 1
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_experiment_builds_the_instance_once(monkeypatch, threads):
+def count_builds(monkeypatch, *modules) -> list:
+    """Record every build_problem call made through the given modules."""
     builds = []
     build = harness.build_problem
 
@@ -95,7 +95,14 @@ def test_run_experiment_builds_the_instance_once(monkeypatch, threads):
         builds.append(config)
         return build(config)
 
-    monkeypatch.setattr(harness, "build_problem", counting_build)
+    for module in modules:
+        monkeypatch.setattr(module, "build_problem", counting_build)
+    return builds
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_experiment_builds_the_instance_once(monkeypatch, threads):
+    builds = count_builds(monkeypatch, harness)
     monkeypatch.setenv("COMEX_THREADS", threads)
     config = ExperimentConfig(problem="ising", algorithm="comex", budget=3,
                               seeds=(0, 1, 2), problem_params={"rows": 3, "cols": 3})
@@ -107,3 +114,21 @@ def test_run_experiment_builds_the_instance_once(monkeypatch, threads):
         assert np.array_equal(trace.raw_values, alone.raw_values)
         assert np.array_equal(trace.scaled_values, alone.scaled_values)
         assert all(np.array_equal(a, b) for a, b in zip(trace.queries, alone.queries))
+
+
+@pytest.mark.parametrize("value", ["abc", "-4", "0", ""])
+def test_comex_threads_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("COMEX_THREADS", value)
+    with pytest.raises(ValueError, match=f"COMEX_THREADS must be a positive integer, got {value!r}"):
+        run_experiment(tiny_config(budget=2, seeds=(0, 1)))
+
+
+def test_save_instance_builds_the_instance_once(monkeypatch, tmp_path):
+    builds = count_builds(monkeypatch, harness, cli)
+    path = tmp_path / "instance.json"
+    code = cli.main(["run", "--problem", "ising", "--rows", "3", "--cols", "3",
+                     "--algo", "rs", "--budget", "2", "--seeds", "0..2",
+                     "--save-instance", str(path)])
+    assert code == 0
+    assert len(builds) == 1
+    assert path.exists()

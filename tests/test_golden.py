@@ -22,21 +22,23 @@ PARAMS = {
 BUDGETS = {"comex": 6, "rs": 15, "sa": 15}
 
 # (queries, raw_values, scaled_values, regret) for seed 3 on instance seed 1.
+# The comex entries follow the acquisition walk's batched draws (all move
+# indices, then all uniforms, per chain; see LocalField.walk).
 GOLDEN = {
-    ("contamination", "comex"): ("b4e21f0d9789c6c4", "96116643aac88f4f",
-                                 "78735dfaaa720690", "1a10575096f09f6e"),
+    ("contamination", "comex"): ("7bfa65dc10cb3afa", "5e86c2bada8f8145",
+                                 "22f50e536eb63e2c", "1a10575096f09f6e"),
     ("contamination", "rs"): ("4b803a6807201847", "a08187813f94089e",
                               "2f2183b37e059e28", "0107d8f771bb569d"),
     ("contamination", "sa"): ("76c1c26c18cf94cd", "d40d974c09469566",
                               "1eac00e7935c21fe", "31d48bd960f93e22"),
-    ("nqueens", "comex"): ("b7c15274f0958853", "fb9292e43e7eee46",
-                           "6310f07344536242", "af62da8773200d5c"),
+    ("nqueens", "comex"): ("9c290fd89d287b5d", "efae4acdfe7cb1c2",
+                           "8d47d59febff69a0", "c8401a43d8a37215"),
     ("nqueens", "rs"): ("47845cb5eddf7a4b", "5f650f45e9568f80",
                         "bdd42ce19a5ccff7", "b643739bf9a8fb95"),
     ("nqueens", "sa"): ("bc654e5e80a0d53f", "7ad4b5078f14a545",
                         "21ded69f5db7aa70", "b643739bf9a8fb95"),
-    ("ising", "comex"): ("30101726df9e3145", "51d3fc83c9673862",
-                         "7d8e8478817cef56", "6cb3addfe4c6f1da"),
+    ("ising", "comex"): ("45843601428b747a", "f73b53e4cee7bfe2",
+                         "b1608fdc8da3422e", "f94b4989693ef140"),
     ("ising", "rs"): ("baeded70af70905e", "6a5c9905e7ec9bf3",
                       "1feb0ab69ea87842", "972b53246123627f"),
     ("ising", "sa"): ("1ca385c0d6837d29", "d0f39e2720711220",

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from comex.acquisition import LocalField
 from comex.basis import MonomialBasis
 from comex.domain import Unconstrained, apply_flips, sample_uniform
 from comex.surrogate import (
@@ -78,7 +80,10 @@ def test_predict_bounded_by_sparsity():
             assert abs(model.predict(x)) <= sparsity + 1e-12
 
 
-# -- flip deltas --------------------------------------------------------------
+# -- flip deltas (scored from the walk's local field) --------------------------
+# Deltas after accepted moves are compared against `predict` in
+# tests/test_acquisition.py; these check a fresh field and pin the degenerate
+# cases.
 
 
 @given(st.integers(2, 8), st.integers(0, 10**6), st.integers(0, 40))
@@ -90,8 +95,8 @@ def test_flip_delta_matches_full_recompute(d, seed, n_updates):
     x = sample_uniform(Unconstrained(d), rng)
     fx = model.predict(x)
     i = int(rng.integers(d))
-    assert model.predict_flip_delta(x, fx, i) == pytest.approx(
-        model.predict(apply_flips(x, (i,))), abs=1e-12
+    assert LocalField(model, x).flip_delta(i) == pytest.approx(
+        model.predict(apply_flips(x, (i,))) - fx, abs=1e-12
     )
 
 
@@ -104,8 +109,8 @@ def test_two_flip_delta_matches_full_recompute(d, seed):
     x = sample_uniform(Unconstrained(d), rng)
     fx = model.predict(x)
     i, j = rng.choice(d, size=2, replace=False)
-    assert model.predict_two_flip_delta(x, fx, int(i), int(j)) == pytest.approx(
-        model.predict(apply_flips(x, (int(i), int(j)))), abs=1e-12
+    assert LocalField(model, x).swap_delta(int(i), int(j)) == pytest.approx(
+        model.predict(apply_flips(x, (int(i), int(j)))) - fx, abs=1e-12
     )
 
 
@@ -114,22 +119,24 @@ def test_flip_delta_constant_only_model():
     model.w_plus = np.array([0.7, 0.0, 0.0, 0.0])
     model.w_minus = np.zeros(4)
     model._eff = model.w_plus.copy()
-    x = np.array([1.0, -1.0, 1.0])
-    fx = model.predict(x)
-    assert model.predict_flip_delta(x, fx, 1) == pytest.approx(fx)
+    field = LocalField(model, np.array([1.0, -1.0, 1.0]))
+    assert field.flip_delta(1) == 0.0
+    assert field.swap_delta(0, 1) == 0.0
 
 
 def test_flip_delta_zero_model():
     model = MonomialSurrogate(MonomialBasis(4, 2))
-    x = np.array([1.0, -1.0, 1.0, -1.0])
-    assert model.predict_flip_delta(x, model.predict(x), 2) == 0.0
+    field = LocalField(model, np.array([1.0, -1.0, 1.0, -1.0]))
+    assert field.flip_delta(2) == 0.0
 
 
 def test_flip_delta_coordinate_out_of_range():
     model = MonomialSurrogate(MonomialBasis(3, 1))
-    x = np.array([1.0, -1.0, 1.0])
+    field = LocalField(model, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(IndexError):
-        model.predict_flip_delta(x, 0.0, 3)
+        field.flip_delta(3)
+    with pytest.raises(ValueError):
+        field.swap_delta(1, 1)
 
 
 # -- the update step ----------------------------------------------------------
@@ -379,6 +386,52 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert (loaded.lr.t, loaded.lr.e, loaded.lr.v) == (model.lr.t, model.lr.e, model.lr.v)
         x = sample_uniform(Unconstrained(6), rng)
         assert loaded.predict(x) == model.predict(x)
+
+
+def saved_checkpoint(tmp_path) -> tuple:
+    model = MonomialSurrogate(MonomialBasis(4, 2), learning_rate=0.1)
+    model.update(np.array([1.0, -1.0, 1.0, 1.0]), 0.5)
+    path = tmp_path / "model.txt"
+    model.save(path)
+    return path, path.read_text().splitlines()
+
+
+def test_checkpoint_missing_key_is_named(tmp_path):
+    path, lines = saved_checkpoint(tmp_path)
+    path.write_text("\n".join(line for line in lines if not line.startswith("lr_t")))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint has no 'lr_t'")):
+        MonomialSurrogate.load(path)
+
+
+def test_checkpoint_malformed_value_is_named(tmp_path):
+    path, lines = saved_checkpoint(tmp_path)
+    path.write_text("\n".join("d = four" if line.startswith("d =") else line
+                              for line in lines))
+    with pytest.raises(ValueError, match="bad 'd'"):
+        MonomialSurrogate.load(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-0x1.0p-4"])
+@pytest.mark.parametrize("key", ["w_plus", "w_minus"])
+def test_checkpoint_rejects_bad_weights(tmp_path, key, bad):
+    path, lines = saved_checkpoint(tmp_path)
+    edited = []
+    for line in lines:
+        if line.startswith(key):
+            name, _, values = line.partition(" = ")
+            line = f"{name} = {bad} " + " ".join(values.split()[1:])
+        edited.append(line)
+    path.write_text("\n".join(edited))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad '{key}': weights must be finite")):
+        MonomialSurrogate.load(path)
+
+
+def test_checkpoint_rejects_wrong_weight_count(tmp_path):
+    path, lines = saved_checkpoint(tmp_path)
+    path.write_text("\n".join(line + " 0x1.0p-4" if line.startswith("w_plus") else line
+                              for line in lines))
+    with pytest.raises(ValueError, match="bad 'w_plus': 12 weights for a basis of 11"):
+        MonomialSurrogate.load(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
