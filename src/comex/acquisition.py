@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from . import walk_kernel
 from .domain import (
     ConstraintSet,
     SumConstrained,
@@ -129,6 +130,8 @@ class LocalField:
         x_aug = np.append(self.x, 1.0)
         self._c = a[basis.high_ids] * np.prod(x_aug[basis.high_coords], axis=1)
         self._g = self._fold(basis.high_coords, self._c)
+        self.accepted = 0
+        self.plus = self.minus = None
 
     def _fold(self, coords: np.ndarray, c: np.ndarray) -> np.ndarray:
         """sum of c_I over the given terms I containing i, for every i."""
@@ -150,10 +153,14 @@ class LocalField:
         return float(delta + 4.0 * self._pair_sum(i, j))
 
     def _pair_sum(self, i: int, j: int) -> float:
-        """sum of c_I over the degree >= 3 terms I containing i and j."""
+        """sum of c_I over the degree >= 3 terms I containing i and j, added
+        one by one in term order (the native walk's order)."""
         pos = self.basis.high_containing[i]
         both = (self.basis.high_coords[pos] == j).any(axis=1)
-        return float(self._c[pos[both]].sum())
+        total = 0.0
+        for value in self._c[pos[both]].tolist():
+            total += value
+        return total
 
     def _negate_high(self, k: int) -> None:
         """Flip the sign of c_I for the degree >= 3 terms containing k."""
@@ -168,68 +175,106 @@ class LocalField:
 
         The randomness is drawn before the walk, one rng call per array:
         first the moves (unconstrained: the coordinate to flip; sum-
-        constrained: a position in the list of +1 coordinates, then a
-        position in the list of -1 coordinates, whose entries trade places
-        when the swap is accepted), then one uniform u per proposal. A
-        proposal is accepted when its delta is at most
+        constrained: a position in the list `plus` of +1 coordinates, then a
+        position in the list `minus` of -1 coordinates, whose entries trade
+        places when the swap is accepted), then one uniform u per proposal.
+        A proposal is accepted when its delta is at most
         -temperature * log(1 - u): always when it does not raise the
         surrogate, otherwise with probability exp(-delta / temperature).
+
+        The proposals run in the native kernel (comex.walk_kernel) or, when
+        it cannot be built, in the Python loops `_flip_walk` and `_swap_walk`.
+        These are its reference: both do the same floating-point operations
+        in the same order, so the path changes speed, never results. The
+        number of accepted proposals is left in `accepted`.
         """
         if not contains(constraint, self.x):
             raise ValueError("initial point does not satisfy the constraint set")
+        self.accepted = 0
         if n_iters <= 0:
             return self.x.copy()
+        if isinstance(constraint, SumConstrained):
+            self.plus = np.flatnonzero(self.x == 1.0)
+            self.minus = np.flatnonzero(self.x == -1.0)
+            moves = (self.plus, self.minus, rng.integers(self.plus.size, size=n_iters),
+                     rng.integers(self.minus.size, size=n_iters))
+        else:
+            moves = (rng.integers(self.basis.d, size=n_iters),)
+        limits = temperature * -np.log1p(-rng.random(n_iters))
+        library = walk_kernel.load()
+        if library is not None:
+            self.accepted = self._native_walk(library, moves, limits)
+        elif len(moves) == 1:
+            self.accepted = self._flip_walk(*moves, limits)
+        else:
+            self.accepted = self._swap_walk(*moves, limits)
+        return self.x.copy()
+
+    def _native_walk(self, library, moves: tuple, limits: np.ndarray) -> int:
+        """The walk in `_walk.c`; every array is contiguous and updated in place."""
+        basis = self.basis
+        run = library.flip_walk if len(moves) == 1 else library.swap_walk
+        accepted = run(basis.d, limits.size,
+                       *(a.ctypes.data for a in (*moves, limits, self.x, self._h, self._A)),
+                       self._c.size, basis.m,
+                       *(a.ctypes.data for a in (self._g, self._c, basis.high_ptr,
+                                                 basis.high_index, basis.high_coords)))
+        if accepted < 0:
+            raise MemoryError("the native walk could not allocate its scratch array")
+        return accepted
+
+    def _flip_walk(self, flips: np.ndarray, limits: np.ndarray) -> int:
+        """Single-coordinate flips in Python: the reference of flip_walk."""
         h, g = self._h, self._g
         h_at = h.item
         rows = list(2.0 * self._A)
         high = self._c.size > 0
-        if isinstance(constraint, SumConstrained):
-            plus = np.flatnonzero(self.x == 1.0).tolist()
-            minus = np.flatnonzero(self.x == -1.0).tolist()
-            take_plus = rng.integers(len(plus), size=n_iters).tolist()
-            take_minus = rng.integers(len(minus), size=n_iters).tolist()
-            limits = _acceptance_limits(temperature, n_iters, rng)
-            quad = (4.0 * self._A).tolist()
-            for a, b, limit in zip(take_plus, take_minus, limits):
-                i, j = plus[a], minus[b]        # x_i = +1, x_j = -1
-                delta = 2.0 * (h_at(j) - h_at(i)) - quad[i][j]
-                if high:
-                    delta += 4.0 * self._pair_sum(i, j) - 2.0 * (g[i] + g[j])
-                if delta <= limit:
-                    plus[a], minus[b] = j, i
+        x = self.x.tolist()
+        accepted = 0
+        for i, limit in zip(flips.tolist(), limits.tolist()):
+            xi = x[i]
+            delta = -2.0 * xi * h_at(i)
+            if high:
+                delta -= 2.0 * g[i]
+            if delta <= limit:
+                if xi > 0.0:
                     h -= rows[i]
-                    h += rows[j]
-                    if high:
-                        self._negate_high(i)
-                        self._negate_high(j)
-            self.x[:] = -1.0
-            self.x[plus] = 1.0
-        else:
-            x = self.x.tolist()
-            flips = rng.integers(self.basis.d, size=n_iters).tolist()
-            limits = _acceptance_limits(temperature, n_iters, rng)
-            for i, limit in zip(flips, limits):
-                xi = x[i]
-                delta = -2.0 * xi * h_at(i)
+                else:
+                    h += rows[i]
+                x[i] = -xi
                 if high:
-                    delta -= 2.0 * g[i]
-                if delta <= limit:
-                    if xi > 0.0:
-                        h -= rows[i]
-                    else:
-                        h += rows[i]
-                    x[i] = -xi
-                    if high:
-                        self._negate_high(i)
-            self.x[:] = x
-        return self.x.copy()
+                    self._negate_high(i)
+                accepted += 1
+        self.x[:] = x
+        return accepted
 
-
-def _acceptance_limits(temperature: float, n: int, rng: np.random.Generator) -> list[float]:
-    """-temperature * log(1 - u) for n uniforms u: a proposal whose delta is
-    at most its limit is accepted, which happens with probability
-    min(1, exp(-delta / temperature))."""
-    return (temperature * -np.log1p(-rng.random(n))).tolist()
+    def _swap_walk(self, plus: np.ndarray, minus: np.ndarray, take_plus: np.ndarray,
+                   take_minus: np.ndarray, limits: np.ndarray) -> int:
+        """+1/-1 swaps in Python: the reference of swap_walk."""
+        h, g = self._h, self._g
+        h_at = h.item
+        rows = list(2.0 * self._A)
+        quad = (4.0 * self._A).tolist()
+        high = self._c.size > 0
+        plus_at, minus_at = plus.tolist(), minus.tolist()
+        accepted = 0
+        for a, b, limit in zip(take_plus.tolist(), take_minus.tolist(), limits.tolist()):
+            i, j = plus_at[a], minus_at[b]      # x_i = +1, x_j = -1
+            delta = 2.0 * (h_at(j) - h_at(i)) - quad[i][j]
+            if high:
+                delta += 4.0 * self._pair_sum(i, j) - 2.0 * (g[i] + g[j])
+            if delta <= limit:
+                plus_at[a], minus_at[b] = j, i
+                h -= rows[i]
+                h += rows[j]
+                if high:
+                    self._negate_high(i)
+                    self._negate_high(j)
+                accepted += 1
+        plus[:], minus[:] = plus_at, minus_at
+        self.x[:] = -1.0
+        self.x[plus] = 1.0
+        return accepted
 
 
 def propose_query(model: MonomialSurrogate, constraint: ConstraintSet,
@@ -247,14 +292,17 @@ def propose_query(model: MonomialSurrogate, constraint: ConstraintSet,
     `x_init` continues the persistent chain; when None the chain starts
     fresh from a uniform point. With several chains the first continues
     from x_init, the rest restart uniformly, and the lowest-scoring final
-    point wins; chains run sequentially so the result is a pure function of
-    the rng.
+    point wins (a single chain's point is returned unscored); chains run
+    sequentially so the result is a pure function of the rng.
     """
     temperature = schedule(step)
+    n_chains = max(1, n_chains)
     best_x, best_fx = None, math.inf
-    for chain in range(max(1, n_chains)):
+    for chain in range(n_chains):
         start = x_init if (chain == 0 and x_init is not None) else sample_uniform(constraint, rng)
         x = LocalField(model, start).walk(constraint, temperature, n_iters, rng)
+        if n_chains == 1:
+            return x
         fx = model.predict(x)
         if fx < best_fx:
             best_x, best_fx = x, fx

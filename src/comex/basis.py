@@ -8,6 +8,7 @@ polynomials, which serve as the surrogate model class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -26,7 +27,9 @@ class MonomialBasis:
     comex.acquisition.LocalField): the positions of the degree-1 terms in
     coordinate order, the positions and coordinate pairs of the degree-2
     terms, and for the terms of degree >= 3 their padded coordinates and,
-    per coordinate, the positions among them of the terms containing it.
+    per coordinate, the positions among them of the terms containing it
+    (also as one CSR table). Every index array is read-only, so a basis can
+    be shared (see enumerate_basis).
     """
 
     def __init__(self, d: int, m: int):
@@ -66,6 +69,14 @@ class MonomialBasis:
         first_high = self.p - self.high_ids.size
         self.high_containing = [ids[ids >= first_high] - first_high
                                 for ids in self._inv_ids]
+        # The same lists as one CSR table, for the native walk: the terms
+        # containing k are high_index[high_ptr[k]:high_ptr[k + 1]].
+        self.high_ptr = np.cumsum([0] + [ids.size for ids in self.high_containing])
+        self.high_index = np.concatenate([np.zeros(0, np.int64), *self.high_containing])
+        for table in (padded, *self._inv_ids, self.linear_ids, self.pair_ids,
+                      self.pair_coords, self.high_ids, self.high_coords,
+                      *self.high_containing, self.high_ptr, self.high_index):
+            table.flags.writeable = False
 
     def __repr__(self):
         return f"MonomialBasis(d={self.d}, m={self.m}, p={self.p})"
@@ -87,8 +98,10 @@ class MonomialBasis:
         return self._inv_ids[i]
 
 
+@functools.lru_cache(maxsize=8)
 def enumerate_basis(d: int, m: int) -> MonomialBasis:
-    """Construct the canonical degree-<=m basis in dimension d."""
+    """The canonical degree-<=m basis in dimension d, built once per process
+    and shared by every caller."""
     return MonomialBasis(d, m)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import AnnealSchedule, propose_query
-from .basis import MonomialBasis
+from .basis import enumerate_basis
 from .benchmarks.io import load_instance
 from .benchmarks.registry import make_problem, problem_oracle
 from .domain import to_bits
@@ -131,7 +131,7 @@ class ComexStrategy:
     def __init__(self, constraint, config: ExperimentConfig, rng: np.random.Generator):
         d = constraint.d
         self.config = config
-        self.model = MonomialSurrogate(MonomialBasis(d, config.m), config.sparsity,
+        self.model = MonomialSurrogate(enumerate_basis(d, config.m), config.sparsity,
                                        learning_rate=config.eta)
         self.propose = partial(propose_query, self.model, constraint,
                                AnnealSchedule(config.omega, d),

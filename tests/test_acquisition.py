@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from comex import walk_kernel
 from comex.acquisition import (
     AnnealSchedule,
     LocalField,
@@ -216,9 +217,24 @@ def test_field_deltas_match_predict_after_walks(d, m, constrained, seed):
             assert abs(field.swap_delta(i, j) - (swapped - fx)) <= 1e-12
 
 
+# The walk-path fixtures patch the loader once per test, not per example.
+WITH_FIXTURE = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 @given(*walk_cases, st.integers(1, 3))
-@settings(max_examples=80, deadline=None)
-def test_walk_matches_literal_reference(d, m, constrained, seed, n_chains):
+@settings(max_examples=80, **WITH_FIXTURE)
+def test_walk_matches_literal_reference(native_walk, d, m, constrained, seed, n_chains):
+    check_walk_matches_literal_reference(d, m, constrained, seed, n_chains)
+
+
+@given(*walk_cases, st.integers(1, 3))
+@settings(max_examples=80, **WITH_FIXTURE)
+def test_walk_matches_literal_reference_on_the_python_walk(python_walk, d, m, constrained,
+                                                           seed, n_chains):
+    check_walk_matches_literal_reference(d, m, constrained, seed, n_chains)
+
+
+def check_walk_matches_literal_reference(d, m, constrained, seed, n_chains):
     rng, model, constraint, temperature = walk_case(d, m, constrained, seed)
     x0 = sample_uniform(constraint, rng)
     n_iters = 15 * d
@@ -238,6 +254,52 @@ def test_walk_matches_literal_reference(d, m, constrained, seed, n_chains):
                            chains_rng)
               for chain in range(n_chains)]
     assert np.array_equal(fast, min(finals, key=model.predict))
+
+
+def walk_state(field, rng):
+    """Everything a walk leaves behind, as bytes and ints."""
+    lists = () if field.plus is None else (field.plus.tobytes(), field.minus.tobytes())
+    return (field.x.tobytes(), field._h.tobytes(), field._g.tobytes(), field._c.tobytes(),
+            *lists, field.accepted, str(rng.bit_generator.state))
+
+
+@given(*walk_cases)
+@settings(max_examples=120, **WITH_FIXTURE)
+def test_native_walk_matches_python_walk(native_walk, monkeypatch, d, m, constrained, seed):
+    rng, model, constraint, temperature = walk_case(d, m, constrained, seed)
+    x0 = sample_uniform(constraint, rng)
+    walks = [(temperature * scale, int(rng.integers(1, 40 * d)))
+             for scale in (1.0, 1e-3, 10.0, 1e-6)]
+    states = []
+    for library in (native_walk, None):
+        monkeypatch.setattr(walk_kernel, "load", lambda library=library: library)
+        field, walk_rng = LocalField(model, x0), np.random.default_rng(seed)
+        for walk_temperature, n_iters in walks:
+            field.walk(constraint, walk_temperature, n_iters, walk_rng)
+        states.append(walk_state(field, walk_rng))
+    assert states[0] == states[1]
+
+
+def test_walk_counts_accepted_proposals():
+    model = MonomialSurrogate(MonomialBasis(6, 2))     # constant: every proposal accepted
+    field = LocalField(model, np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]))
+    field.walk(SumConstrained(6, 2), 1.0, 25, np.random.default_rng(0))
+    assert field.accepted == 25
+    field.walk(SumConstrained(6, 2), 1.0, 0, np.random.default_rng(0))
+    assert field.accepted == 0
+
+
+def test_one_chain_proposal_calls_no_features(monkeypatch):
+    rng, model, constraint, _ = walk_case(8, 2, True, 5)
+    calls = []
+    features = MonomialBasis.features
+    monkeypatch.setattr(MonomialBasis, "features",
+                        lambda self, x: calls.append(x) or features(self, x))
+    schedule = AnnealSchedule(0.5, 8)
+    propose_query(model, constraint, schedule, 40, rng, step=2, n_chains=1)
+    assert calls == []
+    propose_query(model, constraint, schedule, 40, rng, step=2, n_chains=2)
+    assert len(calls) == 2      # several chains are compared by prediction
 
 
 def test_walk_rejects_a_point_outside_the_constraint():

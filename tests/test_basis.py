@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from comex.basis import basis_size, enumerate_basis, evaluate_features, evaluate_monomial
+from comex.basis import (
+    MonomialBasis,
+    basis_size,
+    enumerate_basis,
+    evaluate_features,
+    evaluate_monomial,
+)
 from comex.domain import Unconstrained, enumerate_points, sample_uniform
 
 
@@ -108,3 +114,27 @@ def test_dimension_mismatch_rejected():
     basis = enumerate_basis(4, 2)
     with pytest.raises(ValueError):
         basis.features([1.0, -1.0])
+
+
+def test_high_degree_csr_table_matches_the_per_coordinate_lists():
+    basis = MonomialBasis(6, 4)
+    assert basis.high_ptr.shape == (7,)
+    rows = np.split(basis.high_index, basis.high_ptr[1:-1])
+    assert all(np.array_equal(row, ids) for row, ids in zip(rows, basis.high_containing))
+    for k, row in enumerate(rows):
+        assert all(k in basis.high_coords[t] for t in row)
+
+
+def test_basis_index_arrays_are_read_only():
+    basis = MonomialBasis(5, 3)
+    tables = [basis.linear_ids, basis.pair_ids, basis.pair_coords, basis.high_ids,
+              basis.high_coords, basis.high_containing[0], basis.high_ptr,
+              basis.high_index, basis.terms_containing(0)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 7
+
+
+def test_enumerate_basis_is_built_once_per_dimension_and_order():
+    assert enumerate_basis(7, 2) is enumerate_basis(7, 2)
+    assert enumerate_basis(7, 2) is not enumerate_basis(7, 3)

@@ -4,7 +4,8 @@ A run is a pure function of its seeds, so queries, values and regret must
 reproduce bit-exactly. Each digest is the first 16 hex digits of a SHA-256
 over the query bit strings or the little-endian float64 bytes of a value
 array. A changed digest means the draw order of the acquisition or noise
-streams (or the arithmetic of an oracle) has changed.
+streams (or the arithmetic of an oracle) has changed. Every run is checked
+on both walk paths, the native kernel and the Python walk.
 """
 
 import hashlib
@@ -57,11 +58,20 @@ def trace_digests(trace) -> tuple[str, ...]:
     return (_digest(queries.encode()), *(_digest(v) for v in values))
 
 
-@pytest.mark.parametrize("problem, algorithm", sorted(GOLDEN))
-def test_recorded_runs_reproduce(problem, algorithm):
+def check_recorded_run(problem, algorithm):
     config = ExperimentConfig(problem=problem, algorithm=algorithm,
                               budget=BUDGETS[algorithm], seeds=(3,),
                               problem_params=PARAMS[problem], instance_seed=1)
     trace = run_single(config, seed=3)
     assert len(trace) == BUDGETS[algorithm]
     assert trace_digests(trace) == GOLDEN[(problem, algorithm)]
+
+
+@pytest.mark.parametrize("problem, algorithm", sorted(GOLDEN))
+def test_recorded_runs_reproduce(native_walk, problem, algorithm):
+    check_recorded_run(problem, algorithm)
+
+
+@pytest.mark.parametrize("problem, algorithm", sorted(GOLDEN))
+def test_recorded_runs_reproduce_on_the_python_walk(python_walk, problem, algorithm):
+    check_recorded_run(problem, algorithm)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from comex import harness
 from comex.benchmarks import CountingOracle, Known, Oracle
 from comex.domain import Unconstrained
 from comex.harness import (
@@ -14,6 +15,7 @@ from comex.harness import (
     run_single,
 )
 from comex.results import summarize
+from comex.surrogate import MonomialSurrogate
 
 
 def tiny_config(**kwargs):
@@ -186,3 +188,18 @@ def test_instance_file_loading(tmp_path):
     assert np.array_equal(loaded.rates_a, prob.rates_a)
     trace = run_single(cfg, seed=0)
     assert len(trace) == 3
+
+
+def test_comex_runs_share_one_basis(monkeypatch):
+    bases = []
+
+    class Recording(MonomialSurrogate):
+        def __init__(self, basis, *args, **kwargs):
+            bases.append(basis)
+            super().__init__(basis, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "MonomialSurrogate", Recording)
+    monkeypatch.delenv("COMEX_THREADS", raising=False)
+    run_experiment(tiny_config(seeds=(0, 1), budget=2))
+    run_single(tiny_config(budget=2), seed=2)
+    assert len(bases) == 3 and bases[0] is bases[1] is bases[2]
