@@ -34,7 +34,8 @@ PROBLEMS = {
                            NQueensProblem, {"n": int, "noise_sigma": float}),
 }
 
-PROBLEM_PARAMS = tuple(dict.fromkeys(p for kind in PROBLEMS.values() for p in kind.params))
+# Every parameter any kind takes, with its type (the CLI declares one flag each).
+PROBLEM_PARAMS = {p: t for kind in PROBLEMS.values() for p, t in kind.params.items()}
 
 
 def make_problem(kind: str, params: dict, rng):

@@ -38,7 +38,8 @@ def parse_seeds(spec: str) -> tuple[int, ...]:
     return (int(spec),)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The top-level parser and its `run` subparser."""
     parser = argparse.ArgumentParser(
         prog="comex",
         description="Black-box minimization on the Boolean hypercube "
@@ -49,12 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment and export results",
                          formatter_class=fmt)
-    run.add_argument("--config", help="key = value file; explicit flags override it")
+    run.add_argument("--config",
+                     help="file of 'flag = value' lines, keyed by long flag names "
+                          "(lambda, time_budget, dedup = true); explicit flags win")
     run.add_argument("--problem", choices=list(PROBLEMS), default="contamination")
     run.add_argument("--algo", choices=["comex", "rs", "sa"], default="comex")
     run.add_argument("--budget", type=int, default=250, help="oracle evaluations per run")
     run.add_argument("--seeds", type=str, default="0",
-                     help="e.g. '0..9' or '0,1,4' (default: 0)")
+                     help="e.g. '0..9' or '0,1,4'")
     run.add_argument("--m", type=int, default=2, help="maximum monomial order")
     run.add_argument("--lambda", dest="sparsity", type=float, default=1.0,
                      help="total weight mass of the surrogate")
@@ -72,20 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="load a frozen benchmark instance")
     run.add_argument("--save-instance", type=str, default=None,
                      help="write the instance file and continue")
-    run.add_argument("--warm-start", action="store_true",
-                     help="seed the first annealing chain with the incumbent")
     run.add_argument("--dedup", action="store_true",
                      help="re-anneal once when a proposal repeats an old query")
     run.add_argument("--chains", type=int, default=1,
                      help="annealing chains per acquisition (best result wins)")
-    run.add_argument("--n", type=int, default=None, help="board side (nqueens)")
-    run.add_argument("--d", type=int, default=None, help="number of stages (contamination)")
-    run.add_argument("--rows", type=int, default=None, help="grid rows (ising)")
-    run.add_argument("--cols", type=int, default=None, help="grid cols (ising)")
-    run.add_argument("--lambda-reg", type=float, default=None,
-                     help="l1 regularization weight (ising/contamination)")
-    run.add_argument("--noise-sigma", type=float, default=None,
-                     help="observation noise level (nqueens)")
+    for name, kind_type in PROBLEM_PARAMS.items():
+        kinds = ", ".join(k for k, kind in PROBLEMS.items() if name in kind.params)
+        run.add_argument("--" + name.replace("_", "-"), type=kind_type, default=None,
+                         help=f"problem parameter ({kinds})")
     run.add_argument("--out", type=str, default=None, help="output path")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -118,20 +115,33 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--d", type=int, default=None)
     bench.add_argument("--n", type=int, default=None)
-    return parser
+    return parser, run
 
 
-def _run_command(args, argv) -> int:
-    if args.config:
-        file_values = read_config_file(args.config)
-        # Explicit command-line flags win; config fills the rest.
-        provided = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-        for key, value in file_values.items():
-            flag = "--" + key.replace("_", "-")
-            if flag in provided:
-                continue
-            setattr(args, _CONFIG_KEYS.get(key, key), _coerce(key, value))
+def _config_tokens(run: argparse.ArgumentParser, path: str) -> list[str]:
+    """A `--config` file as `--flag=value` tokens for the run parser.
 
+    Keys are long flag names (`-` or `_`); `true`/`false` turns a switch on
+    or off. A key that names no flag of `run` is a usage error.
+    """
+    flags = {opt[2:].replace("-", "_"): action for action in run._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    tokens = []
+    for key, value in read_config_file(path).items():
+        action = flags.get(key)
+        if action is None or key in ("help", "config"):
+            run.error(f"{path}: unknown key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() not in ("true", "false"):
+            run.error(f"{path}: key {key!r} takes true or false, got {value!r}")
+        elif value.lower() == "true":
+            tokens.append(flag)
+    return tokens
+
+
+def _run_command(args) -> int:
     eta = None if str(args.eta) == "adaptive" else float(args.eta)
     config = ExperimentConfig(
         problem=args.problem,
@@ -147,7 +157,6 @@ def _run_command(args, argv) -> int:
         wall_clock_mode=args.clock,
         instance_seed=args.instance_seed,
         instance_file=args.instance_file,
-        warm_start=args.warm_start,
         dedup=args.dedup,
         acq_chains=args.chains,
         problem_params=_problem_params(args),
@@ -186,20 +195,6 @@ def _problem_params(args) -> dict:
     """Every problem parameter given as a flag (or in a config file)."""
     return {key: getattr(args, key) for key in PROBLEM_PARAMS
             if getattr(args, key, None) is not None}
-
-
-_CONFIG_KEYS = {"algo": "algo", "lambda": "sparsity", "time_budget": "time_budget"}
-
-
-def _coerce(key: str, value: str):
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
 
 
 def _drop_audit_command(args) -> int:
@@ -258,23 +253,20 @@ def _bench_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, run = _build_parser()
+    commands = {"run": _run_command, "audit-lemma1": _drop_audit_command,
+                "audit-theorem1": _acq_audit_command, "bench-step-time": _bench_command}
     try:
         args = parser.parse_args(argv)
+        if args.command == "run" and args.config:
+            # The file's tokens go first: argparse keeps the last value, so
+            # flags given on the command line win.
+            tokens = _config_tokens(run, args.config)
+            args = parser.parse_args(["run", *tokens, *argv[argv.index("run") + 1:]])
+        return commands[args.command](args)
     except SystemExit as exc:  # argparse exits on --help and usage errors
         return int(exc.code or 0)
-    try:
-        if args.command == "run":
-            return _run_command(args, argv)
-        if args.command == "audit-lemma1":
-            return _drop_audit_command(args)
-        if args.command == "audit-theorem1":
-            return _acq_audit_command(args)
-        if args.command == "bench-step-time":
-            return _bench_command(args)
-        raise ValueError(f"unknown command {args.command!r}")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

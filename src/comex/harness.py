@@ -50,7 +50,6 @@ class ExperimentConfig:
     wall_clock_mode: str = "total"      # total | algorithm
     instance_seed: int = 0
     instance_file: str | None = None
-    warm_start: bool = False            # seed the first chain with the incumbent
     dedup: bool = False                 # re-anneal once on a duplicate proposal
     acq_chains: int = 1
     problem_params: dict = field(default_factory=dict)
@@ -124,9 +123,8 @@ def drive(strategy, oracle, budget: int, noise_rng: np.random.Generator, *,
 
 class ComexStrategy:
     """The optimizer: `ask` advances the persistent acquisition walk over the
-    surrogate by `inner_iters` proposals (from the incumbent under warm start;
-    once more from a fresh point under dedup when it repeats a query), and
-    `tell` updates the monomial experts."""
+    surrogate by `inner_iters` proposals (once more, from a fresh point, under
+    dedup when it repeats a query), and `tell` updates the monomial experts."""
 
     def __init__(self, constraint, config: ExperimentConfig, rng: np.random.Generator):
         d = constraint.d
@@ -137,12 +135,10 @@ class ComexStrategy:
                                AnnealSchedule(config.omega, d),
                                config.resolved_inner_iters(d), rng)
         self.seen: set[bytes] = set()
-        self.chain = self.incumbent = None
-        self.best_obs = np.inf
+        self.chain = None
 
     def ask(self, step: int) -> np.ndarray:
-        start = self.incumbent if self.config.warm_start else self.chain
-        x = self.propose(step=step, x_init=start, n_chains=self.config.acq_chains)
+        x = self.propose(step=step, x_init=self.chain, n_chains=self.config.acq_chains)
         if self.config.dedup and x.tobytes() in self.seen:
             x = self.propose(step=step)
         return x
@@ -151,8 +147,6 @@ class ComexStrategy:
         self.model.update(x, obs)
         self.chain = x
         self.seen.add(x.tobytes())
-        if obs < self.best_obs:
-            self.best_obs, self.incumbent = obs, x
 
 
 def _run(algorithm: str, oracle, config: ExperimentConfig, seed: int) -> RunTrace:

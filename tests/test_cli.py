@@ -1,5 +1,9 @@
 import json
 
+import numpy as np
+import pytest
+
+from comex.benchmarks import load_instance
 from comex.cli import main, parse_seeds
 from comex.results import CSV_HEADER
 
@@ -95,3 +99,65 @@ def test_runtime_error_returns_one(tmp_path, capsys):
                  str(tmp_path / "missing.json"), "--budget", "2"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_warm_start_flag_is_gone(capsys):
+    assert main(["run", "--warm-start"]) == 2
+    assert "--warm-start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, named", [
+    ("warm_start = true", "unknown key 'warm_start'"),     # removed option
+    ("algorithm = rs", "unknown key 'algorithm'"),         # field name, not a flag
+    ("sparsity = 3", "unknown key 'sparsity'"),            # dest name, not a flag
+    ("warm_strat = true", "unknown key 'warm_strat'"),     # typo
+    ("config = other.cfg", "unknown key 'config'"),
+    ("format = xml", "--format: invalid choice: 'xml'"),
+    ("budget = many", "--budget: invalid int value: 'many'"),
+    ("dedup = yes", "key 'dedup' takes true or false, got 'yes'"),
+])
+def test_bad_config_key_is_usage_error(tmp_path, capsys, line, named):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"problem = nqueens\nn = 4\n{line}\n")
+    assert main(["run", "--config", str(cfg), "--budget", "2"]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    if "unknown key" in named or "takes true" in named:
+        assert str(cfg) in err
+
+
+def run_json(tmp_path, cfg_text, *flags) -> dict:
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "result.json"
+    code = main(["run", "--config", str(cfg), "--problem", "nqueens", "--budget", "2",
+                 *flags, "--format", "json", "--out", str(out)])
+    assert code == 0
+    return json.loads(out.read_text())["config"]
+
+
+def test_explicit_flag_beats_config_file(tmp_path):
+    config = run_json(tmp_path, "lambda = 3\nn = 4\ntime_budget = 60\n", "--lambda", "2")
+    assert config["sparsity"] == 2.0
+    assert config["wall_clock_budget"] == 60.0
+    assert config["problem_params"] == {"n": 4}
+    assert "warm_start" not in config
+
+
+def test_config_file_switches_and_dashed_keys(tmp_path):
+    config = run_json(tmp_path, "dedup = TRUE\ninner-iters = 7\nn = 4\n")
+    assert config["dedup"] is True and config["inner_iters"] == 7
+    assert run_json(tmp_path, "dedup = false\nn = 4\n")["dedup"] is False
+    assert run_json(tmp_path, "dedup = false\nn = 4\n", "--dedup")["dedup"] is True
+
+
+def test_every_problem_parameter_is_a_flag(tmp_path):
+    inst = tmp_path / "inst.json"
+    code = main(["run", "--problem", "contamination", "--d", "5", "--n-paths", "7",
+                 "--u", "0.2", "--cost", "2", "--rho", "0.9", "--lambda-reg", "0.05",
+                 "--algo", "rs", "--budget", "2", "--save-instance", str(inst)])
+    assert code == 0
+    problem = load_instance(inst)
+    assert (problem.d, problem.init_z.size, problem.u, problem.rho, problem.lambda_reg) \
+        == (5, 7, 0.2, 0.9, 0.05)
+    assert np.all(problem.costs == 2.0)
