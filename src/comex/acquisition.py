@@ -296,7 +296,8 @@ def propose_query(model: MonomialSurrogate, constraint: ConstraintSet,
     sequentially so the result is a pure function of the rng.
     """
     temperature = schedule(step)
-    n_chains = max(1, n_chains)
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be at least 1, got {n_chains!r}")
     best_x, best_fx = None, math.inf
     for chain in range(n_chains):
         start = x_init if (chain == 0 and x_init is not None) else sample_uniform(constraint, rng)

@@ -12,6 +12,7 @@ results are identical to the sequential order either way.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,6 +36,11 @@ __all__ = ["ExperimentConfig", "ComexStrategy", "build_problem", "drive", "run_c
 INNER_ITERS_PER_DIMENSION = 20
 
 
+def _positive(value) -> bool:
+    """True for a positive finite number; false for NaN."""
+    return 0 < value < math.inf
+
+
 @dataclass
 class ExperimentConfig:
     problem: str = "contamination"
@@ -55,10 +61,19 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
+        for name, holds, rule in (
+            ("budget", self.budget >= 1, "at least 1"),
+            ("m", self.m >= 1, "at least 1"),
+            ("sparsity", _positive(self.sparsity), "positive and finite"),
+            ("omega", _positive(self.omega), "positive and finite"),
+            ("eta", self.eta is None or _positive(self.eta), "positive and finite"),
+            ("inner_iters", self.inner_iters is None or self.inner_iters >= 1, "at least 1"),
+            ("acq_chains", self.acq_chains >= 1, "at least 1"),
+            ("wall_clock_budget", self.wall_clock_budget is None
+             or self.wall_clock_budget >= 0, "nonnegative"),
+        ):
+            if not holds:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if self.wall_clock_mode not in ("total", "algorithm"):
@@ -206,7 +221,8 @@ def run_experiment(config: ExperimentConfig, oracle=None) -> list[RunTrace]:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a 'key = value' text config; '#' starts a comment."""
+    """Parse a 'key = value' text config; '#' starts a comment, and a key
+    may appear once ('-' in a key reads as '_')."""
     values: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -215,5 +231,8 @@ def read_config_file(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: {key!r} is set twice")
+        values[key] = value.strip()
     return values

@@ -58,8 +58,8 @@ class LearningRateSchedule:
     """
 
     def __init__(self, eta: float | None = None):
-        if eta is not None and eta <= 0:
-            raise ValueError("fixed step size must be positive")
+        if eta is not None and not 0 < eta < math.inf:
+            raise ValueError(f"fixed step size must be positive and finite, got {eta!r}")
         self.eta = eta
         self.t = 0
         self.e = 0.0
@@ -108,8 +108,8 @@ class MonomialSurrogate:
 
     def __init__(self, basis: MonomialBasis, sparsity: float = 1.0,
                  learning_rate: float | LearningRateSchedule | None = None):
-        if sparsity <= 0:
-            raise ValueError("sparsity mass must be positive")
+        if not 0 < sparsity < math.inf:
+            raise ValueError(f"sparsity mass must be positive and finite, got {sparsity!r}")
         self.basis = basis
         self.sparsity = float(sparsity)
         p = basis.p
@@ -206,8 +206,9 @@ class MonomialSurrogate:
 
     @classmethod
     def load(cls, path) -> "MonomialSurrogate":
-        """Read a checkpoint written by save; a missing or malformed key, or a
-        weight that is negative or not finite, raises ValueError naming it."""
+        """Read a checkpoint written by save; a missing or malformed key, a
+        scalar out of range, or a weight that is negative or not finite,
+        raises ValueError naming it."""
         text = Path(path).read_text().strip().splitlines()
         if not text or text[0].strip() != "comex-surrogate-v1":
             raise ValueError(f"{path}: not a surrogate checkpoint")
@@ -224,6 +225,18 @@ class MonomialSurrogate:
             except ValueError as exc:
                 raise ValueError(f"{path}: bad {key!r}: {exc}") from None
 
+        def ranged(parse, holds, rule):
+            def parse_in_range(value):
+                parsed = parse(value)
+                if not holds(parsed):
+                    raise ValueError(f"must be {rule}, got {parsed!r}")
+                return parsed
+            return parse_in_range
+
+        positive = ranged(float.fromhex, lambda v: 0 < v < math.inf, "positive and finite")
+        nonnegative = ranged(float.fromhex, lambda v: 0 <= v < math.inf,
+                             "nonnegative and finite")
+
         def lr_mode(value):
             if value not in ("adaptive", "fixed"):
                 raise ValueError(f"expected 'adaptive' or 'fixed', got {value!r}")
@@ -238,11 +251,11 @@ class MonomialSurrogate:
             return w
 
         basis = MonomialBasis(read("d", int), read("m", int))
-        eta = None if read("lr_mode", lr_mode) == "adaptive" else read("lr_eta")
-        model = cls(basis, read("sparsity"), learning_rate=eta)
-        model.lr.t = read("lr_t", int)
-        model.lr.e = read("lr_e")
-        model.lr.v = read("lr_v")
+        eta = None if read("lr_mode", lr_mode) == "adaptive" else read("lr_eta", positive)
+        model = cls(basis, read("sparsity", positive), learning_rate=eta)
+        model.lr.t = read("lr_t", ranged(int, lambda v: v >= 0, "nonnegative"))
+        model.lr.e = read("lr_e", nonnegative)
+        model.lr.v = read("lr_v", nonnegative)
         model.w_plus = read("w_plus", weights)
         model.w_minus = read("w_minus", weights)
         model._eff = model.w_plus - model.w_minus

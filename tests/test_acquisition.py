@@ -309,6 +309,14 @@ def test_walk_rejects_a_point_outside_the_constraint():
         field.walk(SumConstrained(4, 2), 1.0, 5, np.random.default_rng(0))
 
 
+def test_propose_query_rejects_fewer_than_one_chain():
+    model = MonomialSurrogate(MonomialBasis(4, 2))
+    for n_chains in (0, -3):
+        with pytest.raises(ValueError, match=f"n_chains must be at least 1, got {n_chains}"):
+            propose_query(model, Unconstrained(4), AnnealSchedule(0.5, 4), 10,
+                          np.random.default_rng(0), n_chains=n_chains)
+
+
 def test_propose_query_deterministic_and_feasible():
     rng = np.random.default_rng(6)
     basis = MonomialBasis(6, 2)

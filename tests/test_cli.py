@@ -161,3 +161,13 @@ def test_every_problem_parameter_is_a_flag(tmp_path):
     assert (problem.d, problem.init_z.size, problem.u, problem.rho, problem.lambda_reg) \
         == (5, 7, 0.2, 0.9, 0.05)
     assert np.all(problem.costs == 2.0)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda", "nan"), ("--omega", "nan"), ("--eta", "nan"), ("--inner-iters", "-3"),
+    ("--chains", "-3"), ("--time-budget", "nan"), ("--time-budget", "-1"),
+])
+def test_out_of_range_option_exits_one(capsys, flag, value):
+    code = main(["run", "--problem", "nqueens", "--n", "4", "--budget", "3", flag, value])
+    assert code == 1
+    assert "must be" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from comex import harness
 from comex.benchmarks import CountingOracle, Known, Oracle
 from comex.domain import Unconstrained
 from comex.harness import (
+    ComexStrategy,
     ExperimentConfig,
     build_problem,
     read_config_file,
@@ -34,6 +36,16 @@ def test_config_validation():
         tiny_config(m=0)
     with pytest.raises(ValueError):
         tiny_config(wall_clock_mode="cpu")
+    nan = float("nan")
+    for field, value in [("sparsity", nan), ("sparsity", 0.0), ("omega", nan),
+                         ("omega", float("inf")), ("eta", nan), ("eta", -0.1),
+                         ("inner_iters", -3), ("inner_iters", 0), ("acq_chains", -3),
+                         ("acq_chains", 0), ("wall_clock_budget", nan),
+                         ("wall_clock_budget", -1.0)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            tiny_config(**{field: value})
+    with pytest.raises(TypeError):
+        tiny_config(warm_start=True)
 
 
 def test_inner_iteration_default_scales_with_dimension():
@@ -167,6 +179,9 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("justakey\n")
     with pytest.raises(ValueError):
         read_config_file(bad)
+    bad.write_text("budget = 4\nbudget = 5\n")
+    with pytest.raises(ValueError, match=r"bad.cfg:2: 'budget' is set twice"):
+        read_config_file(bad)
 
 
 def test_config_to_dict_roundtrips_seeds():
@@ -203,3 +218,44 @@ def test_comex_runs_share_one_basis(monkeypatch):
     run_experiment(tiny_config(seeds=(0, 1), budget=2))
     run_single(tiny_config(budget=2), seed=2)
     assert len(bases) == 3 and bases[0] is bases[1] is bases[2]
+
+
+def test_dedup_reanneals_a_repeat_once_from_a_fresh_point():
+    # on a 3-bit cube the persistent walk revisits old queries often
+    strategy = ComexStrategy(Unconstrained(3), tiny_config(dedup=True, m=1, inner_iters=2),
+                             np.random.default_rng(0))
+    calls, propose = [], strategy.propose
+
+    def recording(**kwargs):
+        calls.append((kwargs, propose(**kwargs)))
+        return calls[-1][1]
+
+    strategy.propose = recording
+    obs_rng = np.random.default_rng(1)
+    repeats = 0
+    for step in range(40):
+        calls.clear()
+        chain, seen = strategy.chain, set(strategy.seen)
+        x = strategy.ask(step)
+        (first_kwargs, first), *again = calls
+        assert first_kwargs["x_init"] is chain and first_kwargs["step"] == step
+        if first.tobytes() in seen:
+            repeats += 1
+            # one more walk, with no x_init: it starts from a uniform point
+            assert [kwargs for kwargs, _ in again] == [{"step": step}]
+            assert x is again[0][1]
+        else:
+            assert again == [] and x is first
+        strategy.tell(x, float(obs_rng.uniform(-1.0, 1.0)))
+    assert repeats >= 5
+
+
+def test_dedup_without_a_repeat_is_the_default_run():
+    cfg = tiny_config(problem="contamination", budget=30, problem_params={"d": 21})
+    for seed in range(3):
+        default = run_single(cfg, seed)
+        assert len({q.tobytes() for q in default.queries}) == len(default)
+        dedup = run_single(replace(cfg, dedup=True), seed)
+        assert all(np.array_equal(a, b) for a, b in zip(default.queries, dedup.queries))
+        assert np.array_equal(default.raw_values, dedup.raw_values)
+        assert np.array_equal(default.regret, dedup.regret)

@@ -426,6 +426,30 @@ def test_checkpoint_rejects_bad_weights(tmp_path, key, bad):
         MonomialSurrogate.load(path)
 
 
+@pytest.mark.parametrize("key, bad, rule", [
+    ("sparsity", "nan", "positive and finite"),
+    ("sparsity", "0x0.0p+0", "positive and finite"),
+    ("lr_eta", "nan", "positive and finite"),
+    ("lr_eta", "-0x1.0p-4", "positive and finite"),
+    ("lr_e", "nan", "nonnegative and finite"),
+    ("lr_v", "-inf", "nonnegative and finite"),
+    ("lr_t", "-4", "nonnegative"),
+])
+def test_checkpoint_rejects_out_of_range_scalars(tmp_path, key, bad, rule):
+    path, lines = saved_checkpoint(tmp_path)
+    path.write_text("\n".join(f"{key} = {bad}" if line.startswith(f"{key} =") else line
+                              for line in lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad '{key}': must be {rule}")):
+        MonomialSurrogate.load(path)
+
+
+def test_constructors_reject_nan():
+    with pytest.raises(ValueError, match="sparsity mass must be positive and finite"):
+        MonomialSurrogate(MonomialBasis(3, 1), sparsity=float("nan"))
+    with pytest.raises(ValueError, match="fixed step size must be positive and finite"):
+        LearningRateSchedule(float("nan"))
+
+
 def test_checkpoint_rejects_wrong_weight_count(tmp_path):
     path, lines = saved_checkpoint(tmp_path)
     path.write_text("\n".join(line + " 0x1.0p-4" if line.startswith("w_plus") else line
