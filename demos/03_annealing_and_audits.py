@@ -1,23 +1,25 @@
-"""The annealed walk, the exact Boltzmann acquisition, and the theory audits.
+"""Direct annealing, the exact Boltzmann acquisition, and the theory audits.
 
-Shows simulated annealing minimizing a score over the hypercube, then runs
-the two analysis checks the package ships: the per-step KL-drop audit for
-the weight update, and the expected-improvement guarantee for the
-exponential (Boltzmann) acquisition on an enumerable instance.
+Shows simulated annealing (the `sa` baseline) minimizing a black box over
+the hypercube, then runs the two analysis checks the package ships: the
+per-step KL-drop audit for the weight update, and the expected-improvement
+guarantee for the exponential (Boltzmann) acquisition on an enumerable
+instance.
 """
 
 import numpy as np
 
 from comex import (
-    AnnealSchedule,
+    ExperimentConfig,
     Unconstrained,
     exponential_acquisition_audit,
     exponential_pmf,
     hamming_distance,
     kl_drop_audit,
+    run_experiment,
     sample_uniform,
-    simulated_annealing,
 )
+from comex.benchmarks import Known, Oracle
 
 rng = np.random.default_rng(2)
 
@@ -25,10 +27,12 @@ print("== annealed walk on a simple landscape ==")
 d = 12
 cube = Unconstrained(d)
 target = sample_uniform(cube, rng)
-x = simulated_annealing(lambda x: float(hamming_distance(x, target)), cube,
-                        AnnealSchedule(1.0, d), 50 * d,
-                        sample_uniform(cube, rng), rng)
-print(f"distance of final point to the optimum: {hamming_distance(x, target)}")
+oracle = Oracle("hamming", cube, lambda x: float(hamming_distance(x, target)),
+                Known(0.0, float(d)))
+[trace] = run_experiment(ExperimentConfig(algorithm="sa", budget=50 * d, omega=1.0,
+                                          seeds=(2,)), oracle)
+print(f"distance of the best query to the optimum: {trace.raw_values.min():.0f} "
+      f"after {len(trace)} evaluations")
 
 print("\n== exact Boltzmann acquisition (enumeration) ==")
 values = np.array([0.0] * 3 + [1.0] * 13)  # three good points out of 16

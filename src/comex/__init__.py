@@ -15,10 +15,8 @@ from .acquisition import (
     exponential_pmf,
     pmf_kl,
     propose_query,
-    simulated_annealing,
 )
-from .basis import MonomialBasis, basis_size, enumerate_basis, evaluate_features, evaluate_monomial
-from .baselines import random_search, simulated_annealing_direct
+from .basis import MonomialBasis, basis_size, enumerate_basis, evaluate_monomial
 from .domain import (
     SumConstrained,
     Unconstrained,
@@ -32,7 +30,7 @@ from .domain import (
     sample_uniform,
     to_bits,
 )
-from .harness import ExperimentConfig, build_problem, run_comex, run_experiment, run_single
+from .harness import ExperimentConfig, build_problem, run_experiment, run_single
 from .results import (
     RunTrace,
     Summary,

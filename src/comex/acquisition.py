@@ -1,4 +1,4 @@
-"""Query selection: annealed neighborhood search over a score function, and
+"""Query selection: the annealed acquisition walk over the surrogate, and
 the exact low-dimension Boltzmann acquisition used for analysis checks."""
 
 from __future__ import annotations
@@ -14,17 +14,14 @@ from .domain import (
     ConstraintSet,
     SumConstrained,
     Unconstrained,
-    apply_flips,
     contains,
     enumerate_points,
-    neighbor_move,
     sample_uniform,
 )
 from .surrogate import MonomialBasis, MonomialSurrogate, TrueCoefficients, kl_divergence
 
 __all__ = [
     "AnnealSchedule",
-    "simulated_annealing",
     "LocalField",
     "propose_query",
     "BoltzmannPmf",
@@ -53,39 +50,6 @@ class AnnealSchedule:
 
     def __call__(self, t: int) -> float:
         return math.exp(-self.omega * t / self.d)
-
-
-def _accept_probability(delta: float, temperature: float) -> float:
-    # delta > 0 here; exp underflows cleanly to 0.0 for tiny temperatures.
-    if temperature <= 0.0:
-        return 0.0
-    return math.exp(-delta / temperature)
-
-
-def simulated_annealing(score, constraint: ConstraintSet, schedule,
-                        n_iters: int, x_init, rng: np.random.Generator) -> np.ndarray:
-    """Annealed walk minimizing `score`; returns the final point of the chain.
-
-    `schedule` is any callable t -> temperature (an AnnealSchedule or a
-    constant). Each iteration draws one uniform neighbor and calls `score` on
-    it; an improving (or equal) proposal is always accepted, a worsening one
-    with probability exp(-(cand - current)/s(t)). This is the generic walk for
-    arbitrary score callables; the acquisition walk over the surrogate is
-    LocalField.walk.
-    """
-    x = np.asarray(x_init, dtype=np.float64).copy()
-    if not contains(constraint, x):
-        raise ValueError("initial point does not satisfy the constraint set")
-    if n_iters <= 0:
-        return x
-    fx = float(score(x))
-    for t in range(n_iters):
-        move = neighbor_move(constraint, x, rng)
-        cand = float(score(apply_flips(x, move)))
-        if cand <= fx or rng.random() <= _accept_probability(cand - fx, schedule(t)):
-            x[list(move)] *= -1.0
-            fx = cand
-    return x
 
 
 class LocalField:
@@ -155,7 +119,8 @@ class LocalField:
     def _pair_sum(self, i: int, j: int) -> float:
         """sum of c_I over the degree >= 3 terms I containing i and j, added
         one by one in term order (the native walk's order)."""
-        pos = self.basis.high_containing[i]
+        start, stop = self.basis.high_ptr[i:i + 2]
+        pos = self.basis.high_index[start:stop]
         both = (self.basis.high_coords[pos] == j).any(axis=1)
         total = 0.0
         for value in self._c[pos[both]].tolist():
@@ -164,7 +129,8 @@ class LocalField:
 
     def _negate_high(self, k: int) -> None:
         """Flip the sign of c_I for the degree >= 3 terms containing k."""
-        pos = self.basis.high_containing[k]
+        start, stop = self.basis.high_ptr[k:k + 2]
+        pos = self.basis.high_index[start:stop]
         old = self._c[pos]
         self._c[pos] = -old
         self._g -= 2.0 * self._fold(self.basis.high_coords[pos], old)

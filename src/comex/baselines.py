@@ -8,15 +8,14 @@ every proposal consumes one unit of evaluation budget.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .acquisition import AnnealSchedule, _accept_probability
-from .benchmarks.base import Oracle
+from .acquisition import AnnealSchedule
 from .domain import apply_flips, neighbor_move, sample_uniform
-from .harness import drive
-from .results import RunTrace
 
-__all__ = ["RandomSearch", "DirectAnnealing", "random_search", "simulated_annealing_direct"]
+__all__ = ["RandomSearch", "DirectAnnealing"]
 
 
 class RandomSearch:
@@ -52,25 +51,8 @@ class DirectAnnealing:
         return apply_flips(self.x, neighbor_move(self.constraint, self.x, self.rng))
 
     def tell(self, z: np.ndarray, value: float) -> None:
+        # A worsening move draws one uniform; exp(-delta/T) is 0 once T underflows to 0.
+        T = self.temperature
         if (self.x is None or value <= self.current or self.rng.random()
-                <= _accept_probability(value - self.current, self.temperature)):
+                <= (math.exp(-(value - self.current) / T) if T > 0.0 else 0.0)):
             self.x, self.current = z, value
-
-
-def random_search(oracle: Oracle, budget: int, rng: np.random.Generator,
-                  noise_rng: np.random.Generator | None = None,
-                  deadline: float | None = None, seed: int = 0) -> RunTrace:
-    """Uniform queries until the budget (or an optional wall-clock deadline)."""
-    return drive(RandomSearch(oracle.constraint, rng), oracle, budget,
-                 rng if noise_rng is None else noise_rng,
-                 name="rs", seed=seed, deadline=deadline)
-
-
-def simulated_annealing_direct(oracle: Oracle, budget: int, omega: float,
-                               rng: np.random.Generator,
-                               noise_rng: np.random.Generator | None = None,
-                               deadline: float | None = None, seed: int = 0) -> RunTrace:
-    """Direct annealing until the budget (or an optional wall-clock deadline)."""
-    return drive(DirectAnnealing(oracle.constraint, omega, rng), oracle, budget,
-                 rng if noise_rng is None else noise_rng,
-                 name="sa", seed=seed, deadline=deadline)

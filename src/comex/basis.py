@@ -14,22 +14,21 @@ import math
 
 import numpy as np
 
-__all__ = ["MonomialBasis", "enumerate_basis", "evaluate_monomial", "evaluate_features"]
+__all__ = ["MonomialBasis", "enumerate_basis", "evaluate_monomial", "basis_size"]
 
 
 class MonomialBasis:
     """All index sets I with |I| <= m over d coordinates, in a fixed order.
 
     Terms are sorted by ascending degree, then lexicographically; term 0 is
-    the constant monomial (empty set). The basis also stores, for every
-    coordinate, the positions of the terms containing it, and the index
+    the constant monomial (empty set). The basis also stores the index
     tables the acquisition walk's local field reads (see
     comex.acquisition.LocalField): the positions of the degree-1 terms in
     coordinate order, the positions and coordinate pairs of the degree-2
     terms, and for the terms of degree >= 3 their padded coordinates and,
-    per coordinate, the positions among them of the terms containing it
-    (also as one CSR table). Every index array is read-only, so a basis can
-    be shared (see enumerate_basis).
+    per coordinate, the positions among them of the terms containing it, as
+    one CSR table. Every index array is read-only, so a basis can be shared
+    (see enumerate_basis).
     """
 
     def __init__(self, d: int, m: int):
@@ -53,29 +52,22 @@ class MonomialBasis:
             row[: len(term)] = term
         self._padded = padded
 
-        containing: list[list[int]] = [[] for _ in range(d)]
-        for tid, term in enumerate(self.terms):
-            for i in term:
-                containing[i].append(tid)
-        self._inv_ids = [np.asarray(ids, dtype=np.int64) for ids in containing]
-
         degree = np.array([len(term) for term in self.terms])
         self.linear_ids = np.flatnonzero(degree == 1)
         self.pair_ids = np.flatnonzero(degree == 2)
         self.pair_coords = padded[self.pair_ids, :2].reshape(-1, 2)
         self.high_ids = np.flatnonzero(degree >= 3)
         self.high_coords = padded[self.high_ids]
-        # Terms are sorted by degree, so the degree >= 3 ones are a suffix.
-        first_high = self.p - self.high_ids.size
-        self.high_containing = [ids[ids >= first_high] - first_high
-                                for ids in self._inv_ids]
-        # The same lists as one CSR table, for the native walk: the terms
-        # containing k are high_index[high_ptr[k]:high_ptr[k + 1]].
-        self.high_ptr = np.cumsum([0] + [ids.size for ids in self.high_containing])
-        self.high_index = np.concatenate([np.zeros(0, np.int64), *self.high_containing])
-        for table in (padded, *self._inv_ids, self.linear_ids, self.pair_ids,
-                      self.pair_coords, self.high_ids, self.high_coords,
-                      *self.high_containing, self.high_ptr, self.high_index):
+        # The degree >= 3 terms containing coordinate k, as positions among
+        # them in ascending order: high_index[high_ptr[k]:high_ptr[k + 1]].
+        containing: list[list[int]] = [[] for _ in range(d)]
+        for pos, t in enumerate(self.high_ids):
+            for i in self.terms[t]:
+                containing[i].append(pos)
+        self.high_ptr = np.cumsum([0] + [len(ids) for ids in containing])
+        self.high_index = np.array([pos for ids in containing for pos in ids], dtype=np.int64)
+        for table in (padded, self.linear_ids, self.pair_ids, self.pair_coords,
+                      self.high_ids, self.high_coords, self.high_ptr, self.high_index):
             table.flags.writeable = False
 
     def __repr__(self):
@@ -90,12 +82,6 @@ class MonomialBasis:
     def features(self, x) -> np.ndarray:
         """Vector of all p monomial values at x (entries +/-1)."""
         return np.prod(self._augment(x)[self._padded], axis=1)
-
-    def terms_containing(self, i: int) -> np.ndarray:
-        """Positions of the terms whose index set contains coordinate i."""
-        if not 0 <= i < self.d:
-            raise IndexError(f"coordinate {i} out of range for d={self.d}")
-        return self._inv_ids[i]
 
 
 @functools.lru_cache(maxsize=8)
@@ -114,10 +100,6 @@ def evaluate_monomial(term, x) -> float:
     if not term:
         return 1.0
     return float(np.prod(x[list(term)]))
-
-
-def evaluate_features(basis: MonomialBasis, x) -> np.ndarray:
-    return basis.features(x)
 
 
 def basis_size(d: int, m: int) -> int:

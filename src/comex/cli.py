@@ -20,7 +20,7 @@ import numpy as np
 from .acquisition import exponential_acquisition_audit
 from .benchmarks import save_instance
 from .benchmarks.registry import PROBLEM_PARAMS, PROBLEMS
-from .harness import ExperimentConfig, build_problem, read_config_file, run_experiment
+from .harness import ALGORITHMS, ExperimentConfig, build_problem, read_config_file, run_experiment
 from .results import export_json, export_summary_csv, summarize
 from .surrogate import kl_drop_audit
 
@@ -30,12 +30,27 @@ __all__ = ["main"]
 def parse_seeds(spec: str) -> tuple[int, ...]:
     """'0..9' (inclusive range), '0,3,7', or a single integer."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    if "," in spec:
-        return tuple(int(s) for s in spec.split(",") if s.strip())
-    return (int(spec),)
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        if "," in spec:
+            return tuple(int(s) for s in spec.split(",") if s.strip())
+        return (int(spec),)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected '0..9', '0,1,4' or one integer, got {spec!r}") from None
+
+
+def parse_eta(text: str) -> float | None:
+    """'adaptive' (None: the adaptive schedule) or a fixed step size."""
+    if text == "adaptive":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'adaptive' or a number, got {text!r}") from None
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -54,9 +69,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                      help="file of 'flag = value' lines, keyed by long flag names "
                           "(lambda, time_budget, dedup = true); explicit flags win")
     run.add_argument("--problem", choices=list(PROBLEMS), default="contamination")
-    run.add_argument("--algo", choices=["comex", "rs", "sa"], default="comex")
+    run.add_argument("--algo", choices=list(ALGORITHMS), default="comex")
     run.add_argument("--budget", type=int, default=250, help="oracle evaluations per run")
-    run.add_argument("--seeds", type=str, default="0",
+    run.add_argument("--seeds", type=parse_seeds, default="0",
                      help="e.g. '0..9' or '0,1,4'")
     run.add_argument("--m", type=int, default=2, help="maximum monomial order")
     run.add_argument("--lambda", dest="sparsity", type=float, default=1.0,
@@ -64,7 +79,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run.add_argument("--omega", type=float, default=0.5, help="annealing decay")
     run.add_argument("--inner-iters", type=int, default=None,
                      help="annealing proposals per acquisition (default 20*d)")
-    run.add_argument("--eta", type=str, default="adaptive",
+    run.add_argument("--eta", type=parse_eta, default="adaptive",
                      help="'adaptive' or a fixed step size")
     run.add_argument("--time-budget", type=float, default=None,
                      help="wall-clock budget in seconds")
@@ -122,7 +137,8 @@ def _config_tokens(run: argparse.ArgumentParser, path: str) -> list[str]:
     """A `--config` file as `--flag=value` tokens for the run parser.
 
     Keys are long flag names (`-` or `_`); `true`/`false` turns a switch on
-    or off. A key that names no flag of `run` is a usage error.
+    or off. A key that names no flag of `run`, or a value that flag rejects,
+    is a usage error naming the file and the key.
     """
     flags = {opt[2:].replace("-", "_"): action for action in run._actions
              for opt in action.option_strings if opt.startswith("--")}
@@ -133,6 +149,10 @@ def _config_tokens(run: argparse.ArgumentParser, path: str) -> list[str]:
             run.error(f"{path}: unknown key {key!r}")
         flag = "--" + key.replace("_", "-")
         if action.nargs != 0:
+            try:
+                run._get_values(action, [value])
+            except argparse.ArgumentError as exc:
+                run.error(f"{path}: key {key!r}: {exc}")
             tokens.append(f"{flag}={value}")
         elif value.lower() not in ("true", "false"):
             run.error(f"{path}: key {key!r} takes true or false, got {value!r}")
@@ -142,17 +162,16 @@ def _config_tokens(run: argparse.ArgumentParser, path: str) -> list[str]:
 
 
 def _run_command(args) -> int:
-    eta = None if str(args.eta) == "adaptive" else float(args.eta)
     config = ExperimentConfig(
         problem=args.problem,
         algorithm=args.algo,
         budget=args.budget,
-        seeds=parse_seeds(str(args.seeds)),
+        seeds=args.seeds,
         m=args.m,
         sparsity=args.sparsity,
         omega=args.omega,
         inner_iters=args.inner_iters,
-        eta=eta,
+        eta=args.eta,
         wall_clock_budget=args.time_budget,
         wall_clock_mode=args.clock,
         instance_seed=args.instance_seed,

@@ -1,13 +1,14 @@
 """Experiment orchestration: configs, the run loop, seed fanout.
 
-Each algorithm is an ask/tell strategy; one driver owns the evaluation
-budget, the deadlines, per-step timing, abort handling and the trace. One
-run = one seed. The per-run master seed spawns independent streams for
-acquisition randomness and oracle noise, while an experiment builds its
-benchmark instance once, from a separate instance seed, so paired
-comparisons across algorithms and seeds share the same instance. The
-COMEX_THREADS environment variable fans seeds out across worker processes;
-results are identical to the sequential order either way.
+Each algorithm is an ask/tell strategy, built by its factory in
+ALGORITHMS; one driver owns the evaluation budget, the deadlines, per-step
+timing, abort handling and the trace. One run = one seed. The per-run
+master seed spawns independent streams for acquisition randomness and
+oracle noise, while an experiment builds its benchmark instance once, from
+a separate instance seed, so paired comparisons across algorithms and seeds
+share the same instance. The COMEX_THREADS environment variable fans seeds
+out across worker processes; results are identical to the sequential order
+either way.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import AnnealSchedule, propose_query
+from .baselines import DirectAnnealing, RandomSearch
 from .basis import enumerate_basis
 from .benchmarks.io import load_instance
 from .benchmarks.registry import make_problem, problem_oracle
@@ -30,7 +32,7 @@ from .domain import to_bits
 from .results import RunTrace, build_trace
 from .surrogate import MonomialSurrogate
 
-__all__ = ["ExperimentConfig", "ComexStrategy", "build_problem", "drive", "run_comex",
+__all__ = ["ALGORITHMS", "ExperimentConfig", "ComexStrategy", "build_problem", "drive",
            "run_single", "run_experiment", "read_config_file"]
 
 INNER_ITERS_PER_DIMENSION = 20
@@ -44,7 +46,7 @@ def _positive(value) -> bool:
 @dataclass
 class ExperimentConfig:
     problem: str = "contamination"
-    algorithm: str = "comex"            # comex | rs | sa
+    algorithm: str = "comex"            # a key of ALGORITHMS
     budget: int = 250
     seeds: tuple[int, ...] = (0,)
     m: int = 2
@@ -61,24 +63,25 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.seeds = tuple(int(s) for s in self.seeds)
         for name, holds, rule in (
+            ("algorithm", self.algorithm in ALGORITHMS, "one of " + ", ".join(ALGORITHMS)),
             ("budget", self.budget >= 1, "at least 1"),
+            ("seeds", bool(self.seeds) and min(self.seeds) >= 0, "nonempty and nonnegative"),
             ("m", self.m >= 1, "at least 1"),
             ("sparsity", _positive(self.sparsity), "positive and finite"),
             ("omega", _positive(self.omega), "positive and finite"),
             ("eta", self.eta is None or _positive(self.eta), "positive and finite"),
             ("inner_iters", self.inner_iters is None or self.inner_iters >= 1, "at least 1"),
             ("acq_chains", self.acq_chains >= 1, "at least 1"),
+            ("instance_seed", self.instance_seed >= 0, "nonnegative"),
             ("wall_clock_budget", self.wall_clock_budget is None
              or self.wall_clock_budget >= 0, "nonnegative"),
+            ("wall_clock_mode", self.wall_clock_mode in ("total", "algorithm"),
+             "'total' or 'algorithm'"),
         ):
             if not holds:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if self.wall_clock_mode not in ("total", "algorithm"):
-            raise ValueError("wall_clock_mode must be 'total' or 'algorithm'")
-        self.seeds = tuple(int(s) for s in self.seeds)
 
     def resolved_inner_iters(self, d: int) -> int:
         return self.inner_iters if self.inner_iters is not None else INNER_ITERS_PER_DIMENSION * d
@@ -164,29 +167,23 @@ class ComexStrategy:
         self.seen.add(x.tobytes())
 
 
-def _run(algorithm: str, oracle, config: ExperimentConfig, seed: int) -> RunTrace:
-    from .baselines import DirectAnnealing, RandomSearch  # baselines imports `drive`
+# Each algorithm's ask/tell strategy, built from (constraint, config, rng).
+ALGORITHMS = {
+    "comex": ComexStrategy,
+    "rs": lambda constraint, config, rng: RandomSearch(constraint, rng),
+    "sa": lambda constraint, config, rng: DirectAnnealing(constraint, config.omega, rng),
+}
 
+
+def _run(algorithm: str, oracle, config: ExperimentConfig, seed: int) -> RunTrace:
     acq_rng, noise_rng = [np.random.default_rng(s)
                           for s in np.random.SeedSequence(seed).spawn(2)]
-    if algorithm == "comex":
-        strategy = ComexStrategy(oracle.constraint, config, acq_rng)
-    elif algorithm == "rs":
-        strategy = RandomSearch(oracle.constraint, acq_rng)
-    elif algorithm == "sa":
-        strategy = DirectAnnealing(oracle.constraint, config.omega, acq_rng)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    strategy = ALGORITHMS[algorithm](oracle.constraint, config, acq_rng)
     limit = config.wall_clock_budget
     total_clock = limit is not None and config.wall_clock_mode == "total"
     return drive(strategy, oracle, config.budget, noise_rng, name=algorithm, seed=seed,
                  deadline=time.perf_counter() + limit if total_clock else None,
                  time_budget=None if total_clock else limit)
-
-
-def run_comex(oracle, config: ExperimentConfig, seed: int) -> RunTrace:
-    """One COMEX run on `oracle`, with the budgets and options of `config`."""
-    return _run("comex", oracle, config, seed)
 
 
 def run_single(config: ExperimentConfig, seed: int) -> RunTrace:

@@ -14,7 +14,6 @@ from comex.acquisition import (
     exponential_pmf,
     pmf_kl,
     propose_query,
-    simulated_annealing,
 )
 from comex.basis import MonomialBasis
 from comex.domain import (
@@ -23,7 +22,6 @@ from comex.domain import (
     apply_flips,
     contains,
     enumerate_points,
-    hamming_distance,
     sample_uniform,
 )
 from comex.surrogate import MonomialSurrogate
@@ -44,114 +42,6 @@ def test_schedule_rejects_nonpositive_omega():
         AnnealSchedule(0.0, 5)
     with pytest.raises(ValueError):
         AnnealSchedule(-1.0, 5)
-
-
-# -- annealed walk ------------------------------------------------------------
-
-
-def test_walk_stays_inside_constraints():
-    rng = np.random.default_rng(0)
-    for c in (Unconstrained(8), SumConstrained(8, 3)):
-        visited = []
-
-        def score(x):
-            visited.append(x.copy())
-            return float(np.sum(x))
-
-        x = simulated_annealing(score, c, AnnealSchedule(1.0, 8), 60,
-                                sample_uniform(c, rng), rng)
-        assert contains(c, x)
-        for point in visited:
-            assert contains(c, point)
-
-
-class _ScriptedRng:
-    """Proposes coordinates round-robin and never accepts a worsening move."""
-
-    def __init__(self, d):
-        self.d = d
-        self.calls = 0
-
-    def integers(self, *args, **kwargs):
-        value = self.calls % self.d
-        self.calls += 1
-        return value
-
-    def random(self, *args, **kwargs):
-        return 1.0
-
-
-def test_improving_proposal_always_accepted():
-    d = 6
-    c = Unconstrained(d)
-    rng = _ScriptedRng(d)
-    x0 = np.ones(d)
-    # every single flip from all-ones lowers the sum, so the scripted walk
-    # must accept each one in turn and end at all-minus-ones
-    x = simulated_annealing(lambda x: float(np.sum(x)), c,
-                            AnnealSchedule(1.0, d), d, x0, rng)
-    assert np.array_equal(x, -np.ones(d))
-
-
-def test_zero_iterations_returns_initial_point():
-    rng = np.random.default_rng(1)
-    c = Unconstrained(5)
-    x0 = sample_uniform(c, rng)
-    x = simulated_annealing(lambda x: 0.0, c, AnnealSchedule(1.0, 5), 0, x0, rng)
-    assert np.array_equal(x, x0)
-
-
-def test_rejects_initial_point_outside_constraint():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        simulated_annealing(lambda x: 0.0, SumConstrained(4, 2),
-                            AnnealSchedule(1.0, 4), 5,
-                            np.array([1.0, 1.0, 1.0, -1.0]), rng)
-
-
-def test_constant_score_is_a_random_walk_in_constraint():
-    rng = np.random.default_rng(3)
-    c = SumConstrained(8, 4)
-    x = simulated_annealing(lambda x: 1.0, c, AnnealSchedule(1.0, 8), 100,
-                            sample_uniform(c, rng), rng)
-    assert contains(c, x)
-
-
-def test_hamming_descent_reaches_target():
-    # unimodal landscape: the walk should find the target in most seeded runs
-    d = 10
-    c = Unconstrained(d)
-    target_rng = np.random.default_rng(123)
-    target = sample_uniform(c, target_rng)
-    hits = 0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        x = simulated_annealing(lambda x: float(hamming_distance(x, target)), c,
-                                AnnealSchedule(1.0, d), 50 * d,
-                                sample_uniform(c, rng), rng)
-        hits += int(np.array_equal(x, target))
-    assert hits >= 95
-
-
-def test_huge_decay_gives_monotone_trajectory_after_cooldown():
-    rng = np.random.default_rng(4)
-    c = Unconstrained(10)
-    scores = []
-
-    def move_free_score(x):
-        s = float(np.sum(x * np.arange(1, 11)))
-        scores.append(s)
-        return s
-
-    simulated_annealing(move_free_score, c, AnnealSchedule(1e9, 10), 80,
-                        sample_uniform(c, rng), rng)
-    # with s(t) ~ 0 for t >= 1 every accepted move is an improvement; the
-    # score trace of the current point is nonincreasing after the first step
-    current = scores[0]
-    for value in scores[1:]:
-        if value <= current:
-            current = value
-    assert current <= scores[0]
 
 
 # -- the local-field acquisition walk -----------------------------------------

@@ -9,7 +9,6 @@ from comex.basis import (
     MonomialBasis,
     basis_size,
     enumerate_basis,
-    evaluate_features,
     evaluate_monomial,
 )
 from comex.domain import Unconstrained, enumerate_points, sample_uniform
@@ -66,7 +65,7 @@ def test_features_entries_are_signs():
     rng = np.random.default_rng(0)
     basis = enumerate_basis(7, 3)
     for _ in range(20):
-        feats = evaluate_features(basis, sample_uniform(Unconstrained(7), rng))
+        feats = basis.features(sample_uniform(Unconstrained(7), rng))
         assert feats.shape == (basis.p,)
         assert np.all(np.abs(feats) == 1.0)
 
@@ -101,35 +100,26 @@ def test_enumeration_is_deterministic():
     assert enumerate_basis(9, 2).terms == enumerate_basis(9, 2).terms
 
 
-def test_inverted_index_matches_brute_force():
-    basis = enumerate_basis(7, 3)
-    for i in range(7):
-        expected = [tid for tid, term in enumerate(basis.terms) if i in term]
-        assert basis.terms_containing(i).tolist() == expected
-    with pytest.raises(IndexError):
-        basis.terms_containing(7)
-
-
 def test_dimension_mismatch_rejected():
     basis = enumerate_basis(4, 2)
     with pytest.raises(ValueError):
         basis.features([1.0, -1.0])
 
 
-def test_high_degree_csr_table_matches_the_per_coordinate_lists():
-    basis = MonomialBasis(6, 4)
-    assert basis.high_ptr.shape == (7,)
-    rows = np.split(basis.high_index, basis.high_ptr[1:-1])
-    assert all(np.array_equal(row, ids) for row, ids in zip(rows, basis.high_containing))
-    for k, row in enumerate(rows):
-        assert all(k in basis.high_coords[t] for t in row)
+def test_high_degree_csr_rows_match_brute_force():
+    for d, m in [(6, 4), (7, 3), (5, 2)]:
+        basis = MonomialBasis(d, m)
+        high_terms = [term for term in basis.terms if len(term) >= 3]
+        assert basis.high_ptr.shape == (d + 1,)
+        for k in range(d):
+            row = basis.high_index[basis.high_ptr[k]:basis.high_ptr[k + 1]]
+            assert row.tolist() == [pos for pos, term in enumerate(high_terms) if k in term]
 
 
 def test_basis_index_arrays_are_read_only():
     basis = MonomialBasis(5, 3)
     tables = [basis.linear_ids, basis.pair_ids, basis.pair_coords, basis.high_ids,
-              basis.high_coords, basis.high_containing[0], basis.high_ptr,
-              basis.high_index, basis.terms_containing(0)]
+              basis.high_coords, basis.high_ptr, basis.high_index]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 7

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from comex import cli, harness
-from comex.baselines import random_search, simulated_annealing_direct
 from comex.benchmarks import Known, Oracle
 from comex.domain import Unconstrained
-from comex.harness import ExperimentConfig, run_comex, run_experiment, run_single
+from comex.harness import ExperimentConfig, run_experiment, run_single
 
 ALGORITHMS = ("comex", "rs", "sa")
 
@@ -30,13 +29,9 @@ def failing_oracle(fail_at: int, mode: str) -> Oracle:
 
 
 def run_on(algorithm: str, oracle: Oracle, budget: int = 10):
-    """Each algorithm through its public entry point on a given oracle."""
-    if algorithm == "comex":
-        return run_comex(oracle, ExperimentConfig(budget=budget), seed=0)
-    rng = np.random.default_rng(0)
-    if algorithm == "rs":
-        return random_search(oracle, budget, rng)
-    return simulated_annealing_direct(oracle, budget, 1.0, rng)
+    """One run of `algorithm` on a given oracle."""
+    [trace] = run_experiment(ExperimentConfig(algorithm=algorithm, budget=budget), oracle)
+    return trace
 
 
 def tiny_config(**kwargs) -> ExperimentConfig:

@@ -12,7 +12,6 @@ from comex.harness import (
     ExperimentConfig,
     build_problem,
     read_config_file,
-    run_comex,
     run_experiment,
     run_single,
 )
@@ -34,11 +33,10 @@ def test_config_validation():
         tiny_config(seeds=())
     with pytest.raises(ValueError):
         tiny_config(m=0)
-    with pytest.raises(ValueError):
-        tiny_config(wall_clock_mode="cpu")
     nan = float("nan")
-    for field, value in [("sparsity", nan), ("sparsity", 0.0), ("omega", nan),
-                         ("omega", float("inf")), ("eta", nan), ("eta", -0.1),
+    for field, value in [("algorithm", "xyz"), ("seeds", (0, -3)), ("instance_seed", -1),
+                         ("wall_clock_mode", "cpu"), ("sparsity", nan), ("sparsity", 0.0),
+                         ("omega", nan), ("omega", float("inf")), ("eta", nan), ("eta", -0.1),
                          ("inner_iters", -3), ("inner_iters", 0), ("acq_chains", -3),
                          ("acq_chains", 0), ("wall_clock_budget", nan),
                          ("wall_clock_budget", -1.0)]:
@@ -63,7 +61,7 @@ def test_budget_one_trace():
 def test_oracle_call_accounting():
     _, oracle = build_problem(tiny_config())
     counting = CountingOracle(oracle)
-    trace = run_comex(counting, tiny_config(budget=9), seed=1)
+    [trace] = run_experiment(tiny_config(budget=9, seeds=(1,)), counting)
     assert counting.calls == len(trace) == 9
 
 
@@ -71,9 +69,7 @@ def test_two_point_domain_always_solved():
     # f(x) = x_0 on d=1: every seed must find the minimizing point quickly
     oracle = Oracle("coordinate", Unconstrained(1), lambda x: float(x[0]),
                     Known(-1.0, 1.0))
-    cfg = tiny_config(budget=30, m=1)
-    for seed in range(10):
-        trace = run_comex(oracle, cfg, seed)
+    for trace in run_experiment(tiny_config(budget=30, m=1, seeds=tuple(range(10))), oracle):
         assert trace.best_scaled[-1] == -1.0
         assert trace.final_regret == 0.0
 
@@ -136,7 +132,7 @@ def test_oracle_failure_preserves_partial_trace():
         return float(np.sum(x))
 
     oracle = Oracle("flaky", Unconstrained(6), flaky, Known(-6.0, 6.0))
-    trace = run_comex(oracle, tiny_config(budget=10), seed=0)
+    [trace] = run_experiment(tiny_config(budget=10), oracle)
     assert trace.aborted
     assert len(trace) == 3
     assert "black box fell over" in trace.error
