@@ -61,12 +61,16 @@ class ContaminationProblem:
         return self.init_z.size
 
     def evaluate_bits(self, bits: np.ndarray) -> float:
+        """Each stage maps z to (1 - b_i) z when intervening and to
+        a_i (1 - z) + z when skipping, bit-exactly the two cases of
+        a_i (1 - x_i)(1 - z) + (1 - b_i x_i) z."""
         x = np.asarray(bits, dtype=np.float64)
+        restore = 1.0 - self.rates_b
         z = self.init_z
         violation = 0.0
-        for i in range(self.d):
-            z = self.rates_a[i] * (1.0 - x[i]) * (1.0 - z) + (1.0 - self.rates_b[i] * x[i]) * z
-            violation += float((z > self.u).mean())
+        for i, intervene in enumerate(x.tolist()):
+            z = restore[i] * z if intervene else self.rates_a[i] * (1.0 - z) + z
+            violation += np.count_nonzero(z > self.u) / z.size
         return float(self.costs @ x) + self.rho * violation + self.lambda_reg * float(x.sum())
 
     def evaluate(self, x) -> float:

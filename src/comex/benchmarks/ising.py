@@ -6,6 +6,11 @@ q_x(z) ∝ exp(z^T (x∘J) z). The objective is KL(p || q_x) plus an l1 cost
 per kept edge. The KL term is computed exactly from cached pair
 expectations of p and a fresh exact partition value for q_x, so the oracle
 is deterministic; node counts beyond enumeration scale are refused.
+
+Flipping every spin leaves each product z_u z_v unchanged, so both models
+give z and -z the same weight. The enumeration therefore keeps only the
+2^(n-1) states with node 0 = +1; each partition value is log 2 plus the
+log-sum-exp over that half, and the log 2 cancels in the KL.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..domain import Unconstrained, to_bits
 from .base import Known, Oracle
@@ -24,6 +28,14 @@ __all__ = ["grid_edges", "IsingProblem", "ising_make", "ising_oracle"]
 MAX_NODES = 20
 EXHAUSTIVE_EDGE_LIMIT = 16
 COUPLING_RANGE = (0.05, 5.0)
+LOG_2 = math.log(2.0)
+
+
+def _log_partition(energy: np.ndarray):
+    """log Z over all 2^n states from the energies of the node-0 = +1 half
+    (along axis 0): log 2 plus a max-shifted log-sum-exp."""
+    top = energy.max(axis=0)
+    return LOG_2 + top + np.log(np.exp(energy - top).sum(axis=0))
 
 
 def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -46,8 +58,7 @@ class IsingProblem:
     edges: list[tuple[int, int]]
     coupling: np.ndarray  # one positive weight per edge
     lambda_reg: float
-    _states: np.ndarray = field(init=False, repr=False)        # (2^n, n) spins
-    _pair_spins: np.ndarray = field(init=False, repr=False)    # (2^n, d) edge products
+    _pair_spins: np.ndarray = field(init=False, repr=False)    # (2^(n-1), d) edge products
     _log_z_p: float = field(init=False, repr=False)
     _pair_expect: np.ndarray = field(init=False, repr=False)   # E_p[z_u z_v] per edge
 
@@ -58,16 +69,18 @@ class IsingProblem:
         self.coupling = np.asarray(self.coupling, dtype=np.float64)
         if self.coupling.shape != (self.d,):
             raise ValueError("one coupling per edge required")
-        codes = np.arange(2**n, dtype=np.int64)
-        bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        self._states = (2 * bits - 1).astype(np.int8)
-        u = np.array([e[0] for e in self.edges])
-        v = np.array([e[1] for e in self.edges])
-        self._pair_spins = (self._states[:, u] * self._states[:, v]).astype(np.int8)
+        # Spins of the states with node 0 = +1, node n-1 the lowest code bit.
+        codes = np.arange(2 ** (n - 1))
+        spins = [np.ones(codes.size)] + [
+            2.0 * ((codes >> (n - 1 - j)) & 1) - 1.0 for j in range(1, n)]
+        self._pair_spins = np.empty((codes.size, self.d))
+        for k, (u, v) in enumerate(self.edges):
+            np.multiply(spins[u], spins[v], out=self._pair_spins[:, k])
         # z^T J z with symmetric J and zero diagonal double-counts each edge.
         energy = self._pair_spins @ (2.0 * self.coupling)
-        self._log_z_p = float(logsumexp(energy))
-        probs = np.exp(energy - self._log_z_p)
+        self._log_z_p = float(_log_partition(energy))
+        # Each half state stands for itself and its mirror image.
+        probs = 2.0 * np.exp(energy - self._log_z_p)
         self._pair_expect = probs @ self._pair_spins
 
     @property
@@ -90,7 +103,7 @@ class IsingProblem:
         """KL(p || q_x) + lambda_reg * (#kept edges); bit 1 keeps the edge."""
         kept = np.asarray(bits, dtype=np.float64)
         energy_q = self._pair_spins @ (2.0 * self.coupling * kept)
-        log_z_q = float(logsumexp(energy_q))
+        log_z_q = float(_log_partition(energy_q))
         kl = float((2.0 * self.coupling * (1.0 - kept)) @ self._pair_expect) \
             + log_z_q - self._log_z_p
         return kl + self.lambda_reg * float(kept.sum())
@@ -105,8 +118,8 @@ class IsingProblem:
             raise ValueError(f"exhaustive evaluation refused for d > {EXHAUSTIVE_EDGE_LIMIT}")
         codes = np.arange(2**self.d, dtype=np.int64)
         masks = ((codes[:, None] >> np.arange(self.d - 1, -1, -1)) & 1).astype(np.float64)
-        energy_q = self._pair_spins @ (2.0 * self.coupling * masks).T  # (2^n, 2^d)
-        log_z_q = logsumexp(energy_q, axis=0)
+        energy_q = self._pair_spins @ (2.0 * self.coupling * masks).T  # (2^(n-1), 2^d)
+        log_z_q = _log_partition(energy_q)
         kl = (1.0 - masks) @ (2.0 * self.coupling * self._pair_expect) \
             + log_z_q - self._log_z_p
         return kl + self.lambda_reg * masks.sum(axis=1)

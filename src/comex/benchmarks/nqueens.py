@@ -40,28 +40,34 @@ def _diagonal_cells(n: int) -> list[np.ndarray]:
 class NQueensProblem:
     n: int
     noise_sigma: float = DEFAULT_NOISE_SIGMA
-    _diagonals: list[np.ndarray] = field(init=False, repr=False)
+    _lines: np.ndarray = field(init=False, repr=False)      # (2n, d) row/column incidence
+    _diagonals: np.ndarray = field(init=False, repr=False)  # (#diagonals, d) incidence
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("board side must be at least 2")
-        self._diagonals = _diagonal_cells(self.n)
+        cells = np.arange(self.d)
+        self._lines = np.concatenate([cells // self.n == np.arange(self.n)[:, None],
+                                      cells % self.n == np.arange(self.n)[:, None]]
+                                     ).astype(np.float64)
+        diagonals = _diagonal_cells(self.n)
+        self._diagonals = np.zeros((len(diagonals), self.d))
+        for k, diagonal in enumerate(diagonals):
+            self._diagonals[k, diagonal] = 1.0
 
     @property
     def d(self) -> int:
         return self.n * self.n
 
     def energy_bits(self, bits: np.ndarray) -> float:
-        """Noiseless core energy; zero iff the bits form a valid placement."""
-        board = np.asarray(bits, dtype=np.float64).reshape(self.n, self.n)
-        e_rows = float(((board.sum(axis=1) - 1.0) ** 2).sum())
-        e_cols = float(((board.sum(axis=0) - 1.0) ** 2).sum())
-        flat = board.reshape(-1)
-        e_diags = 0.0
-        for cells in self._diagonals:
-            c = float(flat[cells].sum())
-            e_diags += c * (c - 1.0) / 2.0
-        return e_rows + e_cols + e_diags
+        """Noiseless core energy; zero iff the bits form a valid placement.
+
+        Every term is a small integer, so the float sum is exact in any order.
+        """
+        x = np.asarray(bits, dtype=np.float64).reshape(self.d)
+        rc = self._lines @ x - 1.0
+        c = self._diagonals @ x
+        return float(rc @ rc + c @ (c - 1.0) / 2.0)
 
     def energy(self, x) -> float:
         return self.energy_bits(to_bits(x))

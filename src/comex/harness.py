@@ -27,7 +27,7 @@ from .acquisition import AnnealSchedule, propose_query
 from .baselines import DirectAnnealing, RandomSearch
 from .basis import enumerate_basis
 from .benchmarks.io import load_instance
-from .benchmarks.registry import make_problem, problem_oracle
+from .benchmarks.registry import PROBLEMS, make_problem, problem_oracle
 from .domain import to_bits
 from .results import RunTrace, build_trace
 from .surrogate import MonomialSurrogate
@@ -43,9 +43,14 @@ def _positive(value) -> bool:
     return 0 < value < math.inf
 
 
+def _count(value) -> bool:
+    """True for an integer of at least 1; false for a float or a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class ExperimentConfig:
-    problem: str = "contamination"
+    problem: str = "contamination"     # a key of benchmarks.registry.PROBLEMS
     algorithm: str = "comex"            # a key of ALGORITHMS
     budget: int = 250
     seeds: tuple[int, ...] = (0,)
@@ -65,15 +70,17 @@ class ExperimentConfig:
     def __post_init__(self):
         self.seeds = tuple(int(s) for s in self.seeds)
         for name, holds, rule in (
+            ("problem", self.problem in PROBLEMS, "one of " + ", ".join(PROBLEMS)),
             ("algorithm", self.algorithm in ALGORITHMS, "one of " + ", ".join(ALGORITHMS)),
-            ("budget", self.budget >= 1, "at least 1"),
+            ("budget", _count(self.budget), "an integer of at least 1"),
             ("seeds", bool(self.seeds) and min(self.seeds) >= 0, "nonempty and nonnegative"),
-            ("m", self.m >= 1, "at least 1"),
+            ("m", _count(self.m), "an integer of at least 1"),
             ("sparsity", _positive(self.sparsity), "positive and finite"),
             ("omega", _positive(self.omega), "positive and finite"),
             ("eta", self.eta is None or _positive(self.eta), "positive and finite"),
-            ("inner_iters", self.inner_iters is None or self.inner_iters >= 1, "at least 1"),
-            ("acq_chains", self.acq_chains >= 1, "at least 1"),
+            ("inner_iters", self.inner_iters is None or _count(self.inner_iters),
+             "None or an integer of at least 1"),
+            ("acq_chains", _count(self.acq_chains), "an integer of at least 1"),
             ("instance_seed", self.instance_seed >= 0, "nonnegative"),
             ("wall_clock_budget", self.wall_clock_budget is None
              or self.wall_clock_budget >= 0, "nonnegative"),

@@ -129,8 +129,13 @@ def test_criterion_3_acquisition_bound():
 
 
 def _direct_divergence_values(prob):
-    """Definition-level objective for every edge subset (independent route)."""
-    spins = prob._pair_spins.astype(np.float64)
+    """Definition-level objective for every edge subset (independent route,
+    over all 2^n states built from the edge list)."""
+    n = prob.n_nodes
+    codes = np.arange(2**n)
+    states = 2 * ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1) - 1
+    spins = np.stack([states[:, u] * states[:, v] for u, v in prob.edges],
+                     axis=1).astype(np.float64)
     energy_p = spins @ (2.0 * prob.coupling)
     log_p = energy_p - logsumexp(energy_p)
     p_probs = np.exp(log_p)

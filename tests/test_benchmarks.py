@@ -91,9 +91,18 @@ def test_zero_coupling_limit():
     assert prob.evaluate_bits(np.zeros(12)) == pytest.approx(0.0, abs=1e-9)
 
 
+def full_pair_spins(prob: IsingProblem) -> np.ndarray:
+    """z_u z_v for every edge in each of the 2^n states, built from the edge list."""
+    n = prob.n_nodes
+    codes = np.arange(2**n)
+    spins = 2 * ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1) - 1
+    return np.stack([spins[:, u] * spins[:, v] for u, v in prob.edges],
+                    axis=1).astype(np.float64)
+
+
 def direct_kl_oracle(prob: IsingProblem, bits: np.ndarray) -> float:
     """Independent definition-level divergence: sum_z p(z) log(p(z)/q(z))."""
-    spins = prob._pair_spins.astype(np.float64)
+    spins = full_pair_spins(prob)
     energy_p = spins @ (2.0 * prob.coupling)
     energy_q = spins @ (2.0 * prob.coupling * bits)
     log_p = energy_p - logsumexp(energy_p)

@@ -38,12 +38,12 @@ GOLDEN = {
                         "bdd42ce19a5ccff7", "b643739bf9a8fb95"),
     ("nqueens", "sa"): ("bc654e5e80a0d53f", "7ad4b5078f14a545",
                         "21ded69f5db7aa70", "b643739bf9a8fb95"),
-    ("ising", "comex"): ("45843601428b747a", "f73b53e4cee7bfe2",
-                         "b1608fdc8da3422e", "f94b4989693ef140"),
-    ("ising", "rs"): ("baeded70af70905e", "6a5c9905e7ec9bf3",
-                      "1feb0ab69ea87842", "972b53246123627f"),
-    ("ising", "sa"): ("1ca385c0d6837d29", "d0f39e2720711220",
-                      "a10644ab5e736250", "2fc16ee42537de7f"),
+    ("ising", "comex"): ("45843601428b747a", "94ec97024f45214b",
+                         "3470655d79e9dac7", "2d075aaea5831703"),
+    ("ising", "rs"): ("baeded70af70905e", "10272f224dff4af7",
+                      "837407a27eed7e6d", "645dcacefcaf4c9e"),
+    ("ising", "sa"): ("1ca385c0d6837d29", "3191db9323a04754",
+                      "125ac88b8ea11479", "f77cc3fb4f8444df"),
 }
 
 

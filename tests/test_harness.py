@@ -39,7 +39,10 @@ def test_config_validation():
                          ("omega", nan), ("omega", float("inf")), ("eta", nan), ("eta", -0.1),
                          ("inner_iters", -3), ("inner_iters", 0), ("acq_chains", -3),
                          ("acq_chains", 0), ("wall_clock_budget", nan),
-                         ("wall_clock_budget", -1.0)]:
+                         ("wall_clock_budget", -1.0), ("problem", "xyz"),
+                         ("budget", 2.5), ("budget", True), ("m", 2.5), ("m", True),
+                         ("inner_iters", 2.5), ("inner_iters", True),
+                         ("acq_chains", 1.5), ("acq_chains", True)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             tiny_config(**{field: value})
     with pytest.raises(TypeError):

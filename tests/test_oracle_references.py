@@ -1,0 +1,195 @@
+"""Differential tests of the three benchmark oracles against test-local
+copies of their straightforward loops.
+
+The contamination and n-queens oracles must agree bit for bit; the Ising
+oracle enumerates half of the states and does its own log-sum-exp, so it
+must agree within 1e-12 relative (to log Z where a KL is the difference of
+two log partition values).
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
+
+from comex.benchmarks import (
+    ContaminationProblem,
+    IsingProblem,
+    NQueensProblem,
+    grid_edges,
+    ising_make,
+)
+from comex.benchmarks.ising import COUPLING_RANGE
+
+REL_TOL = 1e-12
+
+
+def bit_vectors(d: int, drawn: list[int]) -> list[np.ndarray]:
+    """The drawn bits plus the all-0 and all-1 vectors."""
+    return [np.array(drawn, dtype=np.int64), np.zeros(d, dtype=np.int64),
+            np.ones(d, dtype=np.int64)]
+
+
+# -- contamination ------------------------------------------------------------
+
+
+def reference_contamination(prob: ContaminationProblem, bits: np.ndarray) -> float:
+    x = np.asarray(bits, dtype=np.float64)
+    z = prob.init_z
+    violation = 0.0
+    for i in range(prob.d):
+        z = prob.rates_a[i] * (1.0 - x[i]) * (1.0 - z) + (1.0 - prob.rates_b[i] * x[i]) * z
+        violation += float((z > prob.u).mean())
+    return float(prob.costs @ x) + prob.rho * violation + prob.lambda_reg * float(x.sum())
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def contamination_cases(draw):
+    d = draw(st.integers(1, 12))
+    n_paths = draw(st.integers(1, 20))
+    prob = ContaminationProblem(
+        d=d, u=draw(unit),
+        costs=draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 10.0))),
+        rho=draw(st.floats(0.0, 10.0)), lambda_reg=draw(st.floats(0.0, 1.0)),
+        init_z=draw(hnp.arrays(np.float64, n_paths, elements=unit)),
+        rates_a=draw(hnp.arrays(np.float64, (d, n_paths), elements=unit)),
+        rates_b=draw(hnp.arrays(np.float64, (d, n_paths), elements=unit)),
+    )
+    return prob, draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+
+
+@given(contamination_cases())
+@settings(max_examples=150, deadline=None)
+def test_contamination_matches_reference_loop_bit_for_bit(case):
+    prob, drawn = case
+    for bits in bit_vectors(prob.d, drawn):
+        assert prob.evaluate_bits(bits) == reference_contamination(prob, bits)
+
+
+# -- n-queens -----------------------------------------------------------------
+
+
+def reference_energy(n: int, bits: np.ndarray) -> float:
+    board = np.asarray(bits, dtype=np.float64).reshape(n, n)
+    e_rows = float(((board.sum(axis=1) - 1.0) ** 2).sum())
+    e_cols = float(((board.sum(axis=0) - 1.0) ** 2).sum())
+    diagonals = [[r * n + (r - offset) for r in range(n) if 0 <= r - offset < n]
+                 for offset in range(-(n - 1), n)]
+    diagonals += [[r * n + (total - r) for r in range(n) if 0 <= total - r < n]
+                  for total in range(2 * n - 1)]
+    flat = board.reshape(-1)
+    e_diags = 0.0
+    for cells in diagonals:
+        if len(cells) >= 2:
+            c = float(flat[cells].sum())
+            e_diags += c * (c - 1.0) / 2.0
+    return e_rows + e_cols + e_diags
+
+
+@given(st.integers(2, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 1), min_size=n * n,
+                                             max_size=n * n))))
+@settings(max_examples=150, deadline=None)
+def test_nqueens_matches_reference_loop_bit_for_bit(case):
+    n, drawn = case
+    prob = NQueensProblem(n)
+    for bits in bit_vectors(n * n, drawn):
+        assert prob.energy_bits(bits) == reference_energy(n, bits)
+
+
+# -- Ising pruning ------------------------------------------------------------
+
+
+class ReferenceIsing:
+    """Every one of the 2^n states, scipy's log-sum-exp."""
+
+    def __init__(self, prob: IsingProblem):
+        n = prob.n_nodes
+        codes = np.arange(2**n)
+        states = 2 * ((codes[:, None] >> np.arange(n - 1, -1, -1)) & 1) - 1
+        self.prob = prob
+        self.spins = np.stack([states[:, u] * states[:, v] for u, v in prob.edges],
+                              axis=1).astype(np.int8)
+        energy = self.spins @ (2.0 * prob.coupling)
+        self.log_z_p = float(logsumexp(energy))
+        self.pair_expect = np.exp(energy - self.log_z_p) @ self.spins
+
+    def evaluate_bits(self, bits) -> float:
+        prob, kept = self.prob, np.asarray(bits, dtype=np.float64)
+        log_z_q = float(logsumexp(self.spins @ (2.0 * prob.coupling * kept)))
+        kl = float((2.0 * prob.coupling * (1.0 - kept)) @ self.pair_expect) \
+            + log_z_q - self.log_z_p
+        return kl + prob.lambda_reg * float(kept.sum())
+
+    def exhaustive_values(self) -> np.ndarray:
+        prob, d = self.prob, self.prob.d
+        codes = np.arange(2**d)
+        masks = ((codes[:, None] >> np.arange(d - 1, -1, -1)) & 1).astype(np.float64)
+        log_z_q = logsumexp(self.spins @ (2.0 * prob.coupling * masks).T, axis=0)
+        kl = (1.0 - masks) @ (2.0 * prob.coupling * self.pair_expect) \
+            + log_z_q - self.log_z_p
+        return kl + prob.lambda_reg * masks.sum(axis=1)
+
+
+def assert_close(actual, expected, scale=0.0):
+    """Within REL_TOL relative to the larger of |expected| and `scale`; a
+    reference value of exactly 0 (the pair expectations of zero couplings)
+    allows 1e-15 absolute.
+
+    A KL is the difference of two log partition values, so its rounding
+    error is relative to log Z, not to the KL itself: removing one edge of
+    a 2x2 grid with couplings 3 gives a KL of 1.8e-5 next to log Z = 25,
+    and the two summation orders differ there by 2e-14.
+    """
+    np.testing.assert_allclose(actual, expected, rtol=REL_TOL,
+                               atol=max(1e-15, REL_TOL * scale))
+
+
+# Grids and one non-grid graph on 6 nodes: a triangle, a chord and a pendant.
+TOPOLOGIES = [(2, 2, grid_edges(2, 2)), (2, 3, grid_edges(2, 3)), (3, 3, grid_edges(3, 3)),
+              (1, 6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 4), (4, 5)])]
+
+
+@st.composite
+def ising_cases(draw):
+    rows, cols, edges = draw(st.sampled_from(TOPOLOGIES))
+    d = len(edges)
+    if draw(st.booleans()):
+        coupling = np.zeros(d)
+    else:
+        coupling = draw(hnp.arrays(np.float64, d, elements=st.floats(*COUPLING_RANGE)))
+    prob = IsingProblem(rows=rows, cols=cols, edges=edges, coupling=coupling,
+                        lambda_reg=draw(st.floats(0.0, 0.1)))
+    return prob, draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+
+
+@given(ising_cases())
+@settings(max_examples=60, deadline=None)
+def test_ising_matches_full_enumeration(case):
+    prob, drawn = case
+    reference = ReferenceIsing(prob)
+    assert_close(prob.log_z_p, reference.log_z_p)
+    assert_close(prob.pair_expectations, reference.pair_expect)
+    log_z = reference.log_z_p
+    for bits in bit_vectors(prob.d, drawn):
+        assert_close(prob.evaluate_bits(bits), reference.evaluate_bits(bits), log_z)
+    assert_close(prob.exhaustive_values(), reference.exhaustive_values(), log_z)
+
+
+def test_ising_evaluation_does_not_copy_its_table():
+    prob = ising_make(np.random.default_rng(0), rows=4, cols=4)
+    bits = np.ones(prob.d, dtype=np.int64)
+    prob.evaluate_bits(bits)
+    tracemalloc.start()
+    try:
+        prob.evaluate_bits(bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < prob._pair_spins.nbytes / 4
