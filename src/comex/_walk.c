@@ -11,14 +11,14 @@
    The degree >= 3 terms are given as CSR tables: the terms containing
    coordinate k are high_index[high_ptr[k] .. high_ptr[k + 1]), in ascending
    order, and term t has the coordinates high_coords[t * width ..], padded
-   with the index d. n_high = 0 means there are none (m <= 2). */
+   with the index d; g has d + 1 slots, the last one for the padding, never
+   read. n_high = 0 means there are none (m <= 2). */
 
 #include <stdint.h>
-#include <stdlib.h>
 
 typedef struct {
     int64_t width;
-    double *g, *c, *fold;   /* fold: d + 1 zeros, restored after each use */
+    double *g, *c;
     const int64_t *ptr, *index, *coords;
 } High;
 
@@ -48,37 +48,17 @@ static double pair_sum(const High *hi, int64_t i, int64_t j)
     return s;
 }
 
-/* Negate c_I for the terms containing k and fold the change into g, as
-   LocalField._negate_high: per coordinate the old values are summed in term
-   order from 0.0 (np.bincount's order), then g -= 2 * sum. The sum is reset
-   to 0.0 once applied, so a coordinate met again subtracts 2 * 0.0, which
-   leaves g unchanged, as it does for the coordinates np.bincount leaves at
-   zero. */
-static void negate_high(const High *hi, int64_t d, int64_t k)
+/* Negate c_I for the terms containing k, one term at a time in term order,
+   and subtract 2 * (old c_I) from g at each of the term's coordinates, as
+   LocalField._negate_high. */
+static void negate_high(const High *hi, int64_t k)
 {
     for (int64_t p = hi->ptr[k]; p < hi->ptr[k + 1]; p++) {
         const int64_t t = hi->index[p];
         const double old = hi->c[t];
         hi->c[t] = -old;
-        for (int64_t w = 0; w < hi->width; w++) hi->fold[hi->coords[t * hi->width + w]] += old;
+        for (int64_t w = 0; w < hi->width; w++) hi->g[hi->coords[t * hi->width + w]] -= 2.0 * old;
     }
-    for (int64_t p = hi->ptr[k]; p < hi->ptr[k + 1]; p++) {
-        const int64_t *coords = hi->coords + hi->index[p] * hi->width;
-        for (int64_t w = 0; w < hi->width; w++) {
-            const int64_t l = coords[w];
-            if (l < d) hi->g[l] -= 2.0 * hi->fold[l];
-            hi->fold[l] = 0.0;
-        }
-    }
-}
-
-static int open_high(High *hi, int64_t d, int64_t n_high, int64_t width, double *g, double *c,
-                     const int64_t *ptr, const int64_t *index, const int64_t *coords)
-{
-    *hi = (High){width, g, c, NULL, ptr, index, coords};
-    if (n_high == 0) return 0;
-    hi->fold = calloc((size_t)d + 1, sizeof(double));
-    return hi->fold == NULL ? -1 : 0;
 }
 
 int64_t flip_walk(int64_t d, int64_t n, const int64_t *flips, const double *limits,
@@ -86,8 +66,7 @@ int64_t flip_walk(int64_t d, int64_t n, const int64_t *flips, const double *limi
                   int64_t n_high, int64_t width, double *g, double *c,
                   const int64_t *ptr, const int64_t *index, const int64_t *coords)
 {
-    High hi;
-    if (open_high(&hi, d, n_high, width, g, c, ptr, index, coords) != 0) return -1;
+    const High hi = {width, g, c, ptr, index, coords};
     int64_t accepted = 0;
     for (int64_t t = 0; t < n; t++) {
         const int64_t i = flips[t];
@@ -97,11 +76,10 @@ int64_t flip_walk(int64_t d, int64_t n, const int64_t *flips, const double *limi
         if (delta <= limits[t]) {
             row_update(h, A, d, i, xi);
             x[i] = -xi;
-            if (n_high) negate_high(&hi, d, i);
+            if (n_high) negate_high(&hi, i);
             accepted++;
         }
     }
-    free(hi.fold);
     return accepted;
 }
 
@@ -111,8 +89,7 @@ int64_t swap_walk(int64_t d, int64_t n, int64_t *plus, int64_t *minus,
                   int64_t n_high, int64_t width, double *g, double *c,
                   const int64_t *ptr, const int64_t *index, const int64_t *coords)
 {
-    High hi;
-    if (open_high(&hi, d, n_high, width, g, c, ptr, index, coords) != 0) return -1;
+    const High hi = {width, g, c, ptr, index, coords};
     int64_t accepted = 0;
     for (int64_t t = 0; t < n; t++) {
         const int64_t a = take_plus[t], b = take_minus[t];
@@ -127,12 +104,11 @@ int64_t swap_walk(int64_t d, int64_t n, int64_t *plus, int64_t *minus,
             x[i] = -1.0;
             x[j] = 1.0;
             if (n_high) {
-                negate_high(&hi, d, i);
-                negate_high(&hi, d, j);
+                negate_high(&hi, i);
+                negate_high(&hi, j);
             }
             accepted++;
         }
     }
-    free(hi.fold);
     return accepted;
 }

@@ -73,9 +73,10 @@ class LocalField:
 
     where s_ij is the sum of c_I over the degree >= 3 terms containing both.
 
-    Accepting a flip of k is the row update h -= 2 x_k A[k] and, for the
-    degree >= 3 terms containing k, negating their c_I and folding the
-    change into g. For m <= 2 the degree >= 3 part is empty.
+    Accepting a flip of k is the row update h -= 2 x_k A[k] and, term by
+    term for the degree >= 3 terms containing k, negating c_I and taking
+    2 * (old c_I) off g at the term's coordinates; g[d] takes the padding
+    index of basis.high_coords and is never read. For m <= 2 there are none.
     """
 
     def __init__(self, model: MonomialSurrogate, x):
@@ -93,15 +94,10 @@ class LocalField:
         self._h = a[basis.linear_ids] + A @ self.x
         x_aug = np.append(self.x, 1.0)
         self._c = a[basis.high_ids] * np.prod(x_aug[basis.high_coords], axis=1)
-        self._g = self._fold(basis.high_coords, self._c)
+        self._g = np.bincount(basis.high_coords.ravel(), minlength=basis.d + 1,
+                              weights=np.repeat(self._c, basis.high_coords.shape[1]))
         self.accepted = 0
         self.plus = self.minus = None
-
-    def _fold(self, coords: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """sum of c_I over the given terms I containing i, for every i."""
-        d = self.basis.d
-        return np.bincount(coords.ravel(), weights=np.repeat(c, coords.shape[1]),
-                           minlength=d + 1)[:d]
 
     def flip_delta(self, i: int) -> float:
         """f(x with coordinate i flipped) - f(x)."""
@@ -128,12 +124,13 @@ class LocalField:
         return total
 
     def _negate_high(self, k: int) -> None:
-        """Flip the sign of c_I for the degree >= 3 terms containing k."""
+        """Negate c_I for the degree >= 3 terms containing k, updating g term by term."""
         start, stop = self.basis.high_ptr[k:k + 2]
         pos = self.basis.high_index[start:stop]
         old = self._c[pos]
         self._c[pos] = -old
-        self._g -= 2.0 * self._fold(self.basis.high_coords[pos], old)
+        coords = self.basis.high_coords[pos]
+        np.subtract.at(self._g, coords.ravel(), np.repeat(2.0 * old, coords.shape[1]))
 
     def walk(self, constraint: ConstraintSet, temperature: float, n_iters: int,
              rng: np.random.Generator) -> np.ndarray:
@@ -180,14 +177,11 @@ class LocalField:
         """The walk in `_walk.c`; every array is contiguous and updated in place."""
         basis = self.basis
         run = library.flip_walk if len(moves) == 1 else library.swap_walk
-        accepted = run(basis.d, limits.size,
-                       *(a.ctypes.data for a in (*moves, limits, self.x, self._h, self._A)),
-                       self._c.size, basis.m,
-                       *(a.ctypes.data for a in (self._g, self._c, basis.high_ptr,
-                                                 basis.high_index, basis.high_coords)))
-        if accepted < 0:
-            raise MemoryError("the native walk could not allocate its scratch array")
-        return accepted
+        return run(basis.d, limits.size,
+                   *(a.ctypes.data for a in (*moves, limits, self.x, self._h, self._A)),
+                   self._c.size, basis.m,
+                   *(a.ctypes.data for a in (self._g, self._c, basis.high_ptr,
+                                             basis.high_index, basis.high_coords)))
 
     def _flip_walk(self, flips: np.ndarray, limits: np.ndarray) -> int:
         """Single-coordinate flips in Python: the reference of flip_walk."""

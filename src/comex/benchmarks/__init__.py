@@ -1,6 +1,6 @@
 """Benchmark oracles behind a uniform black-box interface."""
 
-from .base import CountingOracle, Known, Oracle, ReferenceLevel
+from .base import CountingOracle, Known, Oracle
 from .contamination import ContaminationProblem, contamination_make, contamination_oracle
 from .io import load_instance, save_instance
 from .ising import IsingProblem, grid_edges, ising_make, ising_oracle
@@ -14,7 +14,6 @@ from .nqueens import (
 
 __all__ = [
     "Known",
-    "ReferenceLevel",
     "Oracle",
     "CountingOracle",
     "grid_edges",

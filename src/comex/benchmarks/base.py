@@ -1,9 +1,9 @@
 """Black-box oracle wrapper with the shared value-scaling protocol.
 
 Raw objective values are affinely mapped from a known [lo, hi] envelope to
-[-1, 1], so -1 corresponds to the desired minimum. When no usable envelope
-exists, values pass through unscaled and regret is later measured against a
-fixed reference level lying below every observation.
+[-1, 1], so -1 corresponds to the desired minimum. When the true minimum is
+unknown, regret is instead measured on the raw axis against a fixed
+reference level lying below every observation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Known", "ReferenceLevel", "Oracle", "CountingOracle"]
+__all__ = ["Known", "Oracle", "CountingOracle"]
 
 
 @dataclass(frozen=True)
@@ -29,26 +29,20 @@ class Known:
             raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True)
-class ReferenceLevel:
-    """A universal level below all observable values; no affine scaling."""
-
-    level: float
-
-
 class Oracle:
     """A black-box objective over a constraint set.
 
     `raw_fn` is the deterministic raw objective on spin points. `observe`
     returns (raw, observation); the observation is the scaled value plus
     optional Gaussian noise (noise lives on the scaled axis). A non-finite
-    raw value is an error, and so, for Known envelopes, is a raw value
-    outside [lo, hi], since the affine map — and every regret comparison
-    built on it — would be invalid.
+    raw value is an error, and so is a raw value outside the envelope
+    [lo, hi], since the affine map — and every regret comparison built on
+    it — would be invalid.
     """
 
     def __init__(self, name: str, constraint, raw_fn: Callable[[np.ndarray], float],
-                 bounds, noise_sigma: float = 0.0, raw_regret_level: float | None = None):
+                 bounds: Known, noise_sigma: float = 0.0,
+                 raw_regret_level: float | None = None):
         if noise_sigma < 0:
             raise ValueError("noise level must be nonnegative")
         self.name = name
@@ -60,17 +54,13 @@ class Oracle:
         # level below all observable raw values rather than to the scaled
         # envelope minimum.
         self._raw_regret_level = raw_regret_level
-        if isinstance(bounds, ReferenceLevel) and raw_regret_level is None:
-            self._raw_regret_level = bounds.level
 
     def raw(self, x) -> float:
         return float(self._raw_fn(x))
 
     def scale(self, y: float) -> float:
-        if isinstance(self.bounds, Known):
-            b = self.bounds
-            return 2.0 * (y - b.lo) / (b.hi - b.lo) - 1.0
-        return y
+        b = self.bounds
+        return 2.0 * (y - b.lo) / (b.hi - b.lo) - 1.0
 
     @property
     def regret_axis(self) -> str:
@@ -88,13 +78,12 @@ class Oracle:
         raw = self.raw(x)
         if not math.isfinite(raw):
             raise ValueError(f"oracle '{self.name}' returned {raw}, which is not finite")
-        if isinstance(self.bounds, Known):
-            b = self.bounds
-            if raw < b.lo - 1e-9 or raw > b.hi + 1e-9:
-                raise RuntimeError(
-                    f"oracle '{self.name}' returned {raw}, outside its declared "
-                    f"envelope [{b.lo}, {b.hi}]; the scaling protocol is invalid"
-                )
+        b = self.bounds
+        if raw < b.lo - 1e-9 or raw > b.hi + 1e-9:
+            raise RuntimeError(
+                f"oracle '{self.name}' returned {raw}, outside its declared "
+                f"envelope [{b.lo}, {b.hi}]; the scaling protocol is invalid"
+            )
         value = self.scale(raw)
         if self.noise_sigma > 0.0:
             if rng is None:

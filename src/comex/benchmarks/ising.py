@@ -27,6 +27,7 @@ __all__ = ["grid_edges", "IsingProblem", "ising_make", "ising_oracle"]
 
 MAX_NODES = 20
 EXHAUSTIVE_EDGE_LIMIT = 16
+EXHAUSTIVE_BLOCK = 1024  # kept-edge masks evaluated at once by exhaustive_values
 COUPLING_RANGE = (0.05, 5.0)
 LOG_2 = math.log(2.0)
 
@@ -113,16 +114,20 @@ class IsingProblem:
 
     def exhaustive_values(self) -> np.ndarray:
         """Objective for every subset of edges, indexed by the kept-edge mask
-        read as a binary code (edge 0 most significant)."""
+        read as a binary code (edge 0 most significant), EXHAUSTIVE_BLOCK
+        masks at a time, so at most (2^(n-1), EXHAUSTIVE_BLOCK) energies at once."""
         if self.d > EXHAUSTIVE_EDGE_LIMIT:
             raise ValueError(f"exhaustive evaluation refused for d > {EXHAUSTIVE_EDGE_LIMIT}")
-        codes = np.arange(2**self.d, dtype=np.int64)
-        masks = ((codes[:, None] >> np.arange(self.d - 1, -1, -1)) & 1).astype(np.float64)
-        energy_q = self._pair_spins @ (2.0 * self.coupling * masks).T  # (2^(n-1), 2^d)
-        log_z_q = _log_partition(energy_q)
-        kl = (1.0 - masks) @ (2.0 * self.coupling * self._pair_expect) \
-            + log_z_q - self._log_z_p
-        return kl + self.lambda_reg * masks.sum(axis=1)
+        shifts = np.arange(self.d - 1, -1, -1)
+        removed = 2.0 * self.coupling * self._pair_expect
+        values = np.empty(2**self.d)
+        for start in range(0, values.size, EXHAUSTIVE_BLOCK):
+            codes = np.arange(start, min(start + EXHAUSTIVE_BLOCK, values.size))
+            masks = ((codes[:, None] >> shifts) & 1).astype(np.float64)
+            log_z_q = _log_partition(self._pair_spins @ (2.0 * self.coupling * masks).T)
+            kl = (1.0 - masks) @ removed + log_z_q - self._log_z_p
+            values[codes] = kl + self.lambda_reg * masks.sum(axis=1)
+        return values
 
     def to_dict(self) -> dict:
         return {

@@ -53,6 +53,14 @@ def parse_eta(text: str) -> float | None:
             f"expected 'adaptive' or a number, got {text!r}") from None
 
 
+def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per registered problem parameter, None when not given."""
+    for name, kind_type in PROBLEM_PARAMS.items():
+        kinds = ", ".join(k for k, kind in PROBLEMS.items() if name in kind.params)
+        parser.add_argument("--" + name.replace("_", "-"), type=kind_type, default=None,
+                            help=f"problem parameter ({kinds})")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The top-level parser and its `run` subparser."""
     parser = argparse.ArgumentParser(
@@ -94,10 +102,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                      help="re-anneal once when a proposal repeats an old query")
     run.add_argument("--chains", type=int, default=1,
                      help="annealing chains per acquisition (best result wins)")
-    for name, kind_type in PROBLEM_PARAMS.items():
-        kinds = ", ".join(k for k, kind in PROBLEMS.items() if name in kind.params)
-        run.add_argument("--" + name.replace("_", "-"), type=kind_type, default=None,
-                         help=f"problem parameter ({kinds})")
+    _add_problem_flags(run)
     run.add_argument("--out", type=str, default=None, help="output path")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -128,8 +133,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     bench.add_argument("--budget", type=int, default=500)
     bench.add_argument("--m", type=int, default=2)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--d", type=int, default=None)
-    bench.add_argument("--n", type=int, default=None)
+    _add_problem_flags(bench)
     return parser, run
 
 

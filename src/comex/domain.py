@@ -32,7 +32,8 @@ _ENUMERATION_LIMIT = 16
 
 
 def _check_spins(x: np.ndarray) -> None:
-    if x.ndim != 1 or not np.isin(x, (-1.0, 1.0)).all():
+    """Reject x unless it is 1-d with entries in {-1, +1}; x is float64."""
+    if x.ndim != 1 or not (np.abs(x) == 1.0).all():
         raise ValueError("spin vectors must be 1-d with entries in {-1, +1}")
 
 

@@ -213,14 +213,16 @@ def _worker_count() -> int:
 
 def run_experiment(config: ExperimentConfig, oracle=None) -> list[RunTrace]:
     """Run every seed on one instance: `oracle` when given, else the one
-    built from `config`. Seeds fan out across processes when COMEX_THREADS > 1."""
+    built from `config`. Seeds fan out across processes when COMEX_THREADS > 1,
+    one chunk of seeds (so one pickle of the oracle) per worker."""
     workers = _worker_count()
     if oracle is None:
         _, oracle = build_problem(config)
     run = partial(_run, config.algorithm, oracle, config)
     if workers > 1 and len(config.seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, config.seeds))
+            chunk = math.ceil(len(config.seeds) / workers)
+            return list(pool.map(run, config.seeds, chunksize=chunk))
     return [run(seed) for seed in config.seeds]
 
 

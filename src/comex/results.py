@@ -61,10 +61,6 @@ class RunTrace:
     def final_regret(self) -> float:
         return float(self.regret[-1])
 
-    @property
-    def best_query(self) -> np.ndarray:
-        return self.queries[int(np.argmin(self.scaled_values))]
-
     def algorithm_times(self) -> np.ndarray:
         return self.acquisition_times + self.update_times
 

@@ -1,7 +1,8 @@
 """Monomial-expert surrogate model learned by multiplicative weight updates.
 
-The model keeps a nonnegative weight pair (w_plus[i], w_minus[i]) per
-monomial; the signed coefficient of monomial i is w_plus[i] - w_minus[i].
+The model keeps one nonnegative 2p weight vector w: the plus weight of
+each monomial, then its minus weight (the doubled-expert, EG+-, form); the
+signed coefficient of monomial i is w[i] - w[p + i].
 After observing the value fx at a point x, with prediction error
 loss = fhat(x) - fx, every pair member is multiplied by
 exp(-/+ eta * 2 * sparsity * loss * psi_i(x)) and the whole 2p-weight
@@ -95,11 +96,10 @@ class LearningRateSchedule:
 
 @dataclass
 class UpdateDiagnostics:
-    """Per-update report: mixture loss, step size used, weight mass before/after."""
+    """Per-update report: mixture loss, step size used, weight mass after."""
 
     loss: float
     eta: float
-    mass_before: float
     mass_after: float
 
 
@@ -107,34 +107,38 @@ class MonomialSurrogate:
     """Degree-bounded multilinear surrogate with dual exponential weights."""
 
     def __init__(self, basis: MonomialBasis, sparsity: float = 1.0,
-                 learning_rate: float | LearningRateSchedule | None = None):
+                 learning_rate: float | None = None):
         if not 0 < sparsity < math.inf:
             raise ValueError(f"sparsity mass must be positive and finite, got {sparsity!r}")
         self.basis = basis
         self.sparsity = float(sparsity)
-        p = basis.p
         # Uniform prior of total mass 1; the first update renormalizes to the
-        # sparsity mass. All effective coefficients start at exactly 0.
-        self.w_plus = np.full(p, 1.0 / (2 * p))
-        self.w_minus = np.full(p, 1.0 / (2 * p))
-        if isinstance(learning_rate, LearningRateSchedule):
-            self.lr = learning_rate
-        else:
-            self.lr = LearningRateSchedule(learning_rate)
-        self._eff = np.zeros(p)
+        # sparsity mass. All signed coefficients start at exactly 0.
+        self.w = np.full(2 * basis.p, 1.0 / (2 * basis.p))
+        self.lr = LearningRateSchedule(learning_rate)
+
+    @property
+    def w_plus(self) -> np.ndarray:
+        """The plus weights, a view of the first half of w."""
+        return self.w[:self.basis.p]
+
+    @property
+    def w_minus(self) -> np.ndarray:
+        """The minus weights, a view of the second half of w."""
+        return self.w[self.basis.p:]
 
     @property
     def coefficients(self) -> np.ndarray:
-        """Signed coefficients w_plus - w_minus (kept in sync with updates)."""
-        return self._eff
+        """Signed coefficients w_plus - w_minus."""
+        return self.w_plus - self.w_minus
 
     @property
     def mass(self) -> float:
-        return float(self.w_plus.sum() + self.w_minus.sum())
+        return float(self.w.sum())
 
     def predict(self, x) -> float:
         """Surrogate value at x; always within +/- total weight mass."""
-        return float(self._eff @ self.basis.features(x))
+        return float(self.coefficients @ self.basis.features(x))
 
     def update(self, x, fx: float) -> UpdateDiagnostics:
         """One observation step: reweight all experts and renormalize.
@@ -148,37 +152,30 @@ class MonomialSurrogate:
         if not math.isfinite(fx):
             raise ValueError("oracle value must be finite")
         psi = self.basis.features(x)
-        fhat = float(self._eff @ psi)
+        fhat = float(self.coefficients @ psi)
         loss = fhat - fx
-        p = self.basis.p
-        eta = self.lr.current(p, self.sparsity)
+        eta = self.lr.current(self.basis.p, self.sparsity)
 
-        pre = np.concatenate([self.w_plus, self.w_minus])
-        mass_before = float(pre.sum())
-
+        pre = self.w
         z_plus = (-2.0 * self.sparsity * loss) * psi
         z = np.concatenate([z_plus, -z_plus])
         exponents = eta * z
         w = pre * np.exp(exponents - exponents.max())
         w *= self.sparsity / w.sum()
-        self.w_plus = w[:p].copy()
-        self.w_minus = w[p:].copy()
-        self._eff = self.w_plus - self.w_minus
+        self.w = w
 
-        w_pre = pre / mass_before
+        w_pre = pre / pre.sum()
         z_bar = float(w_pre @ z)
         var_increment = float(w_pre @ (z - z_bar) ** 2)
         self.lr.advance(4.0 * self.sparsity * abs(loss), var_increment)
-        return UpdateDiagnostics(loss, eta, mass_before, float(w.sum()))
+        return UpdateDiagnostics(loss, eta, float(w.sum()))
 
     def copy(self) -> "MonomialSurrogate":
         out = MonomialSurrogate.__new__(MonomialSurrogate)
         out.basis = self.basis
         out.sparsity = self.sparsity
-        out.w_plus = self.w_plus.copy()
-        out.w_minus = self.w_minus.copy()
+        out.w = self.w.copy()
         out.lr = self.lr.copy()
-        out._eff = self._eff.copy()
         return out
 
     # -- checkpointing ------------------------------------------------------
@@ -256,9 +253,7 @@ class MonomialSurrogate:
         model.lr.t = read("lr_t", ranged(int, lambda v: v >= 0, "nonnegative"))
         model.lr.e = read("lr_e", nonnegative)
         model.lr.v = read("lr_v", nonnegative)
-        model.w_plus = read("w_plus", weights)
-        model.w_minus = read("w_minus", weights)
-        model._eff = model.w_plus - model.w_minus
+        model.w = np.concatenate([read("w_plus", weights), read("w_minus", weights)])
         return model
 
 
@@ -296,17 +291,14 @@ class TrueCoefficients:
 def kl_divergence(target, model: MonomialSurrogate) -> float:
     """KL(target || model weights) over the doubled 2p coordinate system.
 
-    `target` is a TrueCoefficients or an explicit nonnegative 2p vector on
-    the simplex. Model weights are rescaled to total mass 1 for
-    comparability. Coordinates where the target is 0 contribute nothing; a
-    model weight of exactly 0 under target mass yields +inf (reported, never
-    clamped).
+    `target` is a nonnegative 2p vector on the simplex, such as
+    TrueCoefficients.dual_simplex(). Model weights are rescaled to total
+    mass 1 for comparability. Coordinates where the target is 0 contribute
+    nothing; a model weight of exactly 0 under target mass yields +inf
+    (reported, never clamped).
     """
-    if isinstance(target, TrueCoefficients):
-        tw = target.dual_simplex()
-    else:
-        tw = np.asarray(target, dtype=np.float64)
-    w = np.concatenate([model.w_plus, model.w_minus])
+    tw = np.asarray(target, dtype=np.float64)
+    w = model.w
     if tw.shape != w.shape:
         raise ValueError(f"target has shape {tw.shape}, model expects {w.shape}")
     w = w / w.sum()

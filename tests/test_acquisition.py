@@ -313,9 +313,8 @@ def test_matching_surrogate_gives_zero_epsilon():
     alpha = rng.dirichlet(np.ones(basis.p)) * 0.8
     model = MonomialSurrogate(basis, 1.0)
     slack = (1.0 - np.abs(alpha).sum()) / (2 * basis.p)
-    model.w_plus = np.clip(alpha, 0, None) + slack
-    model.w_minus = np.clip(-alpha, 0, None) + slack
-    model._eff = model.w_plus - model.w_minus
+    model.w_plus[:] = np.clip(alpha, 0, None) + slack
+    model.w_minus[:] = np.clip(-alpha, 0, None) + slack
     points = enumerate_points(Unconstrained(5))
     feats = np.stack([basis.features(x) for x in points])
     f_true = feats @ alpha

@@ -9,7 +9,6 @@ from comex.benchmarks import (
     IsingProblem,
     Known,
     Oracle,
-    ReferenceLevel,
     contamination_make,
     contamination_oracle,
     grid_edges,
@@ -46,14 +45,6 @@ def test_envelope_violation_aborts():
     oracle = Oracle("toy", Unconstrained(2), lambda x: 7.0, Known(0.0, 5.0))
     with pytest.raises(RuntimeError):
         oracle.observe(np.array([1.0, 1.0]))
-
-
-def test_reference_level_passthrough():
-    oracle = Oracle("toy", Unconstrained(2), lambda x: 4.5, ReferenceLevel(1.0))
-    raw, obs = oracle.observe(np.array([1.0, -1.0]))
-    assert raw == obs == 4.5
-    assert oracle.regret_axis == "raw"
-    assert oracle.regret_anchor == 1.0
 
 
 # -- interaction pruning ------------------------------------------------------

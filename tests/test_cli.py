@@ -87,11 +87,13 @@ def test_theorem_audit_passes(capsys):
 
 
 def test_bench_step_time_reports_ratio(capsys):
-    code = main(["bench-step-time", "--problem", "contamination", "--d", "8",
-                 "--budget", "30", "--m", "2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "late/early ratio" in out
+    # problem flags come from the registry, as for `run`
+    for problem_flags in (["--problem", "contamination", "--d", "8"],
+                          ["--problem", "ising", "--rows", "2", "--cols", "2"]):
+        code = main(["bench-step-time", *problem_flags, "--budget", "30", "--m", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "steps: 30" in out and "late/early ratio" in out
 
 
 def test_runtime_error_returns_one(tmp_path, capsys):

@@ -31,9 +31,15 @@ def test_from_bits_rejects_non_bits():
         from_bits([0, 2, 1])
 
 
+NON_SPINS = [0.5, np.nan, np.inf, -np.inf, 0.0, 1.0 + 2.0**-52, -1.0 - 2.0**-52]
+
+
 def test_to_bits_rejects_non_spins():
-    with pytest.raises(ValueError):
-        to_bits([0.5, 1.0])
+    for bad in NON_SPINS:
+        with pytest.raises(ValueError, match="spin vectors"):
+            to_bits([bad, 1.0])
+    with pytest.raises(ValueError, match="spin vectors"):
+        to_bits(np.ones((2, 2)))
 
 
 def test_bits_roundtrip_exhaustive_d10():
@@ -66,6 +72,15 @@ def test_contains_examples():
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError):
         contains(Unconstrained(3), [1.0, -1.0])
+    with pytest.raises(ValueError):
+        contains(Unconstrained(3), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("bad", NON_SPINS)
+@pytest.mark.parametrize("constraint", [Unconstrained(3), SumConstrained(3, 1)])
+def test_contains_rejects_non_spins(constraint, bad):
+    with pytest.raises(ValueError, match="spin vectors"):
+        contains(constraint, [1.0, bad, -1.0])
 
 
 def test_constraint_validation():

@@ -4,8 +4,8 @@ A run is a pure function of its seeds, so queries, values and regret must
 reproduce bit-exactly. Each digest is the first 16 hex digits of a SHA-256
 over the query bit strings or the little-endian float64 bytes of a value
 array. A changed digest means the draw order of the acquisition or noise
-streams (or the arithmetic of an oracle) has changed. Every run is checked
-on both walk paths, the native kernel and the Python walk.
+streams (or the arithmetic of an oracle or of the walk) has changed. Every
+run is checked on both walk paths, the native kernel and the Python walk.
 """
 
 import hashlib
@@ -46,6 +46,10 @@ GOLDEN = {
                       "125ac88b8ea11479", "f77cc3fb4f8444df"),
 }
 
+# The comex contamination run at m = 3, through the walk's degree >= 3 terms
+# (every entry above is m = 2).
+GOLDEN_M3 = ("75a153a4cd33e174", "1cb68a35b4e9f6fa", "cc1f1ce3e83d1a53", "770420089467051b")
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -58,13 +62,13 @@ def trace_digests(trace) -> tuple[str, ...]:
     return (_digest(queries.encode()), *(_digest(v) for v in values))
 
 
-def check_recorded_run(problem, algorithm):
-    config = ExperimentConfig(problem=problem, algorithm=algorithm,
+def check_recorded_run(problem, algorithm, m=2, expected=None):
+    config = ExperimentConfig(problem=problem, algorithm=algorithm, m=m,
                               budget=BUDGETS[algorithm], seeds=(3,),
                               problem_params=PARAMS[problem], instance_seed=1)
     trace = run_single(config, seed=3)
     assert len(trace) == BUDGETS[algorithm]
-    assert trace_digests(trace) == GOLDEN[(problem, algorithm)]
+    assert trace_digests(trace) == (expected or GOLDEN[(problem, algorithm)])
 
 
 @pytest.mark.parametrize("problem, algorithm", sorted(GOLDEN))
@@ -75,3 +79,11 @@ def test_recorded_runs_reproduce(native_walk, problem, algorithm):
 @pytest.mark.parametrize("problem, algorithm", sorted(GOLDEN))
 def test_recorded_runs_reproduce_on_the_python_walk(python_walk, problem, algorithm):
     check_recorded_run(problem, algorithm)
+
+
+def test_recorded_m3_run_reproduces(native_walk):
+    check_recorded_run("contamination", "comex", m=3, expected=GOLDEN_M3)
+
+
+def test_recorded_m3_run_reproduces_on_the_python_walk(python_walk):
+    check_recorded_run("contamination", "comex", m=3, expected=GOLDEN_M3)

@@ -156,6 +156,25 @@ def test_worker_fanout_matches_sequential(monkeypatch):
         assert np.array_equal(a.scaled_values, b.scaled_values)
 
 
+def test_worker_fanout_pickles_the_oracle_once_per_worker(monkeypatch):
+    cfg = tiny_config(algorithm="rs", budget=3, seeds=tuple(range(6)))
+    sequential = run_experiment(cfg)
+    pickled = []
+
+    def counting_reduce_ex(self, protocol):
+        pickled.append(self.name)
+        return object.__reduce_ex__(self, protocol)
+
+    monkeypatch.setattr(Oracle, "__reduce_ex__", counting_reduce_ex, raising=False)
+    monkeypatch.setenv("COMEX_THREADS", "2")
+    parallel = run_experiment(cfg)
+    assert 1 <= len(pickled) <= 2
+    assert [t.seed for t in parallel] == list(cfg.seeds)
+    for a, b in zip(sequential, parallel):
+        assert [q.tobytes() for q in a.queries] == [q.tobytes() for q in b.queries]
+        assert np.array_equal(a.scaled_values, b.scaled_values)
+
+
 def test_unknown_problem_and_algorithm_rejected():
     with pytest.raises(ValueError):
         build_problem(tiny_config(problem="sudoku"))

@@ -10,6 +10,7 @@ two log partition values).
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -22,7 +23,7 @@ from comex.benchmarks import (
     grid_edges,
     ising_make,
 )
-from comex.benchmarks.ising import COUPLING_RANGE
+from comex.benchmarks.ising import COUPLING_RANGE, _log_partition
 
 REL_TOL = 1e-12
 
@@ -193,3 +194,30 @@ def test_ising_evaluation_does_not_copy_its_table():
     finally:
         tracemalloc.stop()
     assert peak < prob._pair_spins.nbytes / 4
+
+
+def unblocked_exhaustive_values(prob: IsingProblem) -> np.ndarray:
+    """exhaustive_values with every mask at once: (2^(n-1), 2^d) energies."""
+    codes = np.arange(2**prob.d, dtype=np.int64)
+    masks = ((codes[:, None] >> np.arange(prob.d - 1, -1, -1)) & 1).astype(np.float64)
+    log_z_q = _log_partition(prob._pair_spins @ (2.0 * prob.coupling * masks).T)
+    kl = (1.0 - masks) @ (2.0 * prob.coupling * prob._pair_expect) + log_z_q - prob.log_z_p
+    return kl + prob.lambda_reg * masks.sum(axis=1)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (3, 3), (2, 5)])
+def test_blocked_exhaustive_values_equal_the_unblocked_ones(rows, cols):
+    prob = ising_make(np.random.default_rng(rows * cols), rows=rows, cols=cols)
+    assert np.array_equal(prob.exhaustive_values(), unblocked_exhaustive_values(prob))
+
+
+def test_exhaustive_values_memory_is_bounded():
+    # unblocked, a 2x5 grid holds two (2^9, 2^13) float64 arrays, ~100 MB at peak
+    prob = ising_make(np.random.default_rng(0), rows=2, cols=5)
+    tracemalloc.start()
+    try:
+        prob.exhaustive_values()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6

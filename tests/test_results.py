@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from comex.benchmarks import Known, Oracle, ReferenceLevel
+from comex.benchmarks import Known, Oracle
 from comex.domain import Unconstrained
 from comex.results import (
     CSV_HEADER,
@@ -47,7 +47,8 @@ def test_trace_best_so_far_monotone():
 def test_reference_level_must_be_below_observations():
     rows = [{"query_bits": np.zeros(2, dtype=np.int64), "raw": 0.5, "scaled": 0.5,
              "acq_time": 0.0, "update_time": 0.0}]
-    oracle = Oracle("toy", Unconstrained(2), lambda x: 0.5, ReferenceLevel(1.0))
+    oracle = Oracle("toy", Unconstrained(2), lambda x: 0.5, Known(0.0, 2.0),
+                    raw_regret_level=1.0)
     with pytest.raises(ValueError):
         build_trace("rs", 0, rows, oracle)
 

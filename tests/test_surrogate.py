@@ -56,9 +56,8 @@ def test_init_rejects_bad_sparsity():
 
 def test_predict_constant_minus_linear_cancels():
     model = MonomialSurrogate(MonomialBasis(3, 1))  # terms {}, {0}, {1}, {2}
-    model.w_plus = np.array([0.5, 0.0, 0.0, 0.0])
-    model.w_minus = np.array([0.0, 0.5, 0.0, 0.0])
-    model._eff = model.w_plus - model.w_minus
+    model.w_plus[:] = [0.5, 0.0, 0.0, 0.0]
+    model.w_minus[:] = [0.0, 0.5, 0.0, 0.0]
     assert model.predict([1.0, 1.0, -1.0]) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -116,9 +115,8 @@ def test_two_flip_delta_matches_full_recompute(d, seed):
 
 def test_flip_delta_constant_only_model():
     model = MonomialSurrogate(MonomialBasis(3, 1))
-    model.w_plus = np.array([0.7, 0.0, 0.0, 0.0])
-    model.w_minus = np.zeros(4)
-    model._eff = model.w_plus.copy()
+    model.w_plus[:] = [0.7, 0.0, 0.0, 0.0]
+    model.w_minus[:] = 0.0
     field = LocalField(model, np.array([1.0, -1.0, 1.0]))
     assert field.flip_delta(1) == 0.0
     assert field.swap_delta(0, 1) == 0.0
