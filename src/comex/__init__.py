@@ -1,20 +1,22 @@
 """Black-box function minimization over the Boolean hypercube.
 
 A degree-bounded multilinear surrogate is maintained by multiplicative
-weight updates over monomial experts; new query points come from simulated
-annealing on the surrogate. The package also ships benchmark oracles,
-random-search and direct-annealing baselines, theory audits, and an
-experiment harness with a CLI (see `comex --help`).
+weight updates over monomial experts (`comex.surrogate`); new query points
+come from simulated annealing on the surrogate (`comex.acquisition`). The
+package also ships benchmark oracles, random-search and direct-annealing
+baselines, an experiment harness with a CLI (see `comex --help`), and the
+theory audits of the update and of the acquisition (`comex.audits`).
 """
 
-from .acquisition import (
-    AnnealSchedule,
+from .acquisition import AnnealSchedule, LocalField, propose_query
+from .audits import (
     BoltzmannPmf,
-    LocalField,
+    TrueCoefficients,
     exponential_acquisition_audit,
     exponential_pmf,
+    kl_divergence,
+    kl_drop_audit,
     pmf_kl,
-    propose_query,
 )
 from .basis import MonomialBasis, basis_size, enumerate_basis, evaluate_monomial
 from .domain import (
@@ -44,10 +46,7 @@ from .surrogate import (
     ADAPTIVE_C,
     LearningRateSchedule,
     MonomialSurrogate,
-    TrueCoefficients,
     UpdateDiagnostics,
-    kl_divergence,
-    kl_drop_audit,
 )
 
 __version__ = "0.1.0"

@@ -1,38 +1,21 @@
-"""Query selection: the annealed acquisition walk over the surrogate, and
-the exact low-dimension Boltzmann acquisition used for analysis checks."""
+"""Query selection: the annealed acquisition walk over the surrogate."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import walk_kernel
-from .domain import (
-    ConstraintSet,
-    SumConstrained,
-    Unconstrained,
-    contains,
-    enumerate_points,
-    sample_uniform,
-)
-from .surrogate import MonomialBasis, MonomialSurrogate, TrueCoefficients, kl_divergence
+from .domain import ConstraintSet, SumConstrained, contains, sample_uniform
+from .surrogate import MonomialSurrogate
 
 __all__ = [
     "AnnealSchedule",
     "LocalField",
     "propose_query",
-    "BoltzmannPmf",
-    "exponential_pmf",
-    "pmf_kl",
-    "exponential_acquisition_audit",
-    "AcquisitionAuditStep",
-    "AcquisitionAuditReport",
 ]
-
-PMF_DIMENSION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -43,8 +26,9 @@ class AnnealSchedule:
     d: int
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("decay parameter omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"decay parameter omega must be positive and finite, "
+                             f"got {self.omega!r}")
         if self.d < 1:
             raise ValueError("dimension must be a positive integer")
 
@@ -268,140 +252,3 @@ def propose_query(model: MonomialSurrogate, constraint: ConstraintSet,
         if fx < best_fx:
             best_x, best_fx = x, fx
     return best_x
-
-
-# -- exact Boltzmann acquisition (analysis only) -----------------------------
-
-
-@dataclass
-class BoltzmannPmf:
-    """Exact pmf proportional to exp(-f(x)/T) over the full cube.
-
-    Probabilities are indexed by the row order of
-    enumerate_points(Unconstrained(d)).
-    """
-
-    temperature: float
-    probs: np.ndarray
-    log_partition: float
-
-    @property
-    def partition(self) -> float:
-        return math.exp(self.log_partition)
-
-
-def exponential_pmf(values, d: int, temperature: float) -> BoltzmannPmf:
-    """Boltzmann distribution over all 2^d points, computed with a max shift.
-
-    `values` is either a callable on spin points or a precomputed vector of
-    length 2^d in enumeration order. Enumeration only: refuses d beyond
-    PMF_DIMENSION_LIMIT.
-    """
-    if d > PMF_DIMENSION_LIMIT:
-        raise ValueError(f"exact acquisition pmf needs d <= {PMF_DIMENSION_LIMIT}")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    if callable(values):
-        points = enumerate_points(Unconstrained(d))
-        values = np.array([float(values(x)) for x in points])
-    else:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (2**d,):
-            raise ValueError(f"expected 2^{d} values, got shape {values.shape}")
-    logits = -values / temperature
-    log_z = float(logsumexp(logits))
-    return BoltzmannPmf(temperature, np.exp(logits - log_z), log_z)
-
-
-def pmf_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence (natural log) between two strictly positive pmfs."""
-    return float(np.sum(p * np.log(p / q)))
-
-
-@dataclass
-class AcquisitionAuditStep:
-    step: int
-    epsilon: float
-    expected_drop: float
-    bound: float
-    holds: bool
-    mc_error: float | None = None
-
-
-@dataclass
-class AcquisitionAuditReport:
-    d: int
-    m: int
-    temperature: float
-    eta: float
-    sparsity: float
-    steps: list[AcquisitionAuditStep] = field(default_factory=list)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(s.holds for s in self.steps)
-
-
-def exponential_acquisition_audit(d: int, m: int, temperature: float, eta: float,
-                                  n_steps: int, rng: np.random.Generator,
-                                  alpha_star: np.ndarray | None = None,
-                                  sparsity: float = 1.0, trials: int | None = None,
-                                  slack: float = 1e-10) -> AcquisitionAuditReport:
-    """Audit the Boltzmann-acquisition guarantee on an enumerable instance.
-
-    At each step the exact sampling pmfs of the surrogate and of the true
-    function are formed, the gap
-        eps = | KL(surrogate pmf || true pmf) - log(Z_true / Z_surrogate) |
-    is measured, and the expectation (under the surrogate pmf) of the
-    one-step KL drop is computed by enumeration (or estimated from `trials`
-    samples). The audit asserts
-        E[drop] >= 2 * eta * sparsity * eps^2 * T^2 - eta^2.
-    The next query is then drawn from the surrogate pmf and the model updated.
-    Requires target coefficients that are nonnegative on the simplex so the
-    KL potential is defined; values then automatically lie in [-1, 1].
-    """
-    basis = MonomialBasis(d, m)
-    if alpha_star is None:
-        alpha_star = rng.dirichlet(np.ones(basis.p))
-    target = TrueCoefficients(np.asarray(alpha_star, dtype=np.float64))
-    dual = target.dual_simplex()
-
-    points = enumerate_points(Unconstrained(d))
-    features = np.stack([basis.features(x) for x in points])
-    f_true = features @ target.alpha
-
-    model = MonomialSurrogate(basis, sparsity, learning_rate=eta)
-    report = AcquisitionAuditReport(d=d, m=m, temperature=temperature,
-                                    eta=eta, sparsity=sparsity)
-    for step in range(n_steps):
-        f_hat = features @ model.coefficients
-        surrogate_pmf = exponential_pmf(f_hat, d, temperature)
-        true_pmf = exponential_pmf(f_true, d, temperature)
-        epsilon = abs(pmf_kl(surrogate_pmf.probs, true_pmf.probs)
-                      - (true_pmf.log_partition - surrogate_pmf.log_partition))
-
-        phi = kl_divergence(dual, model)
-
-        def one_step_drop(idx: int) -> float:
-            trial = model.copy()
-            trial.update(points[idx], f_true[idx])
-            return phi - kl_divergence(dual, trial)
-
-        mc_error = None
-        if trials is None:
-            drops = np.array([one_step_drop(i) for i in range(points.shape[0])])
-            expected = float(surrogate_pmf.probs @ drops)
-        else:
-            idxs = rng.choice(points.shape[0], size=trials, p=surrogate_pmf.probs)
-            drops = np.array([one_step_drop(i) for i in idxs])
-            expected = float(drops.mean())
-            mc_error = float(drops.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-
-        bound = 2.0 * eta * sparsity * epsilon**2 * temperature**2 - eta**2
-        tolerance = slack + (3.0 * mc_error if mc_error is not None else 0.0)
-        report.steps.append(AcquisitionAuditStep(step, epsilon, expected, bound,
-                                                 expected >= bound - tolerance, mc_error))
-
-        nxt = int(rng.choice(points.shape[0], p=surrogate_pmf.probs))
-        model.update(points[nxt], f_true[nxt])
-    return report

@@ -1,10 +1,9 @@
 """Command-line entry point.
 
 Subcommands:
-  run              one experiment (problem x algorithm x seeds), CSV/JSON out
-  audit-lemma1     per-step check of the KL-drop inequality for the updates
-  audit-theorem1   per-step check of the Boltzmann-acquisition guarantee
-  bench-step-time  per-step algorithm-time profile of the optimizer
+  run             one experiment (problem x algorithm x seeds), CSV/JSON out
+  audit-lemma1    per-step check of the KL-drop inequality for the updates
+  audit-theorem1  per-step check of the Boltzmann-acquisition guarantee
 
 Exit codes: 0 success (all checks passed where applicable), 1 failed checks
 or runtime error, 2 usage error.
@@ -17,12 +16,11 @@ import sys
 
 import numpy as np
 
-from .acquisition import exponential_acquisition_audit
+from .audits import exponential_acquisition_audit, kl_drop_audit
 from .benchmarks import save_instance
 from .benchmarks.registry import PROBLEM_PARAMS, PROBLEMS
 from .harness import ALGORITHMS, ExperimentConfig, build_problem, read_config_file, run_experiment
 from .results import export_json, export_summary_csv, summarize
-from .surrogate import kl_drop_audit
 
 __all__ = ["main"]
 
@@ -59,6 +57,16 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
         kinds = ", ".join(k for k, kind in PROBLEMS.items() if name in kind.params)
         parser.add_argument("--" + name.replace("_", "-"), type=kind_type, default=None,
                             help=f"problem parameter ({kinds})")
+
+
+def _add_audit_flags(parser: argparse.ArgumentParser, steps: int) -> None:
+    """The instance, step-size and seeding flags both audits share."""
+    parser.add_argument("--d", type=int, default=6)
+    parser.add_argument("--m", type=int, default=2)
+    parser.add_argument("--eta", type=float, default=0.01)
+    parser.add_argument("--steps", type=int, default=steps)
+    parser.add_argument("--instances", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -108,32 +116,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     drop_audit = sub.add_parser("audit-lemma1", formatter_class=fmt,
                                 help="per-step PASS/FAIL of the update KL-drop inequality")
-    drop_audit.add_argument("--d", type=int, default=6)
-    drop_audit.add_argument("--m", type=int, default=2)
-    drop_audit.add_argument("--eta", type=float, default=0.01)
-    drop_audit.add_argument("--steps", type=int, default=200)
+    _add_audit_flags(drop_audit, steps=200)
     drop_audit.add_argument("--lambda", dest="sparsity", type=float, default=1.0)
-    drop_audit.add_argument("--instances", type=int, default=1)
-    drop_audit.add_argument("--seed", type=int, default=0)
     drop_audit.add_argument("--quiet", action="store_true", help="print failures only")
+    drop_audit.set_defaults(
+        audit=lambda a, rng: kl_drop_audit(a.d, a.m, a.eta, a.steps, rng, sparsity=a.sparsity),
+        step_line="{0.step:4d}: drop={0.drop: .3e} bound={0.bound: .3e} loss={0.loss: .4f}",
+        claim="KL-drop inequality")
 
     acq_audit = sub.add_parser("audit-theorem1", formatter_class=fmt,
                                help="per-step PASS/FAIL of the acquisition guarantee")
-    acq_audit.add_argument("--d", type=int, default=6)
-    acq_audit.add_argument("--m", type=int, default=2)
+    _add_audit_flags(acq_audit, steps=5)
     acq_audit.add_argument("--temperature", "--T", dest="temperature", type=float, default=1.0)
-    acq_audit.add_argument("--eta", type=float, default=0.01)
-    acq_audit.add_argument("--steps", type=int, default=5)
-    acq_audit.add_argument("--instances", type=int, default=1)
-    acq_audit.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser("bench-step-time", formatter_class=fmt,
-                           help="per-step algorithm time, early vs late windows")
-    bench.add_argument("--problem", choices=list(PROBLEMS), default="contamination")
-    bench.add_argument("--budget", type=int, default=500)
-    bench.add_argument("--m", type=int, default=2)
-    bench.add_argument("--seed", type=int, default=0)
-    _add_problem_flags(bench)
+    acq_audit.set_defaults(
+        audit=lambda a, rng: exponential_acquisition_audit(a.d, a.m, a.temperature, a.eta,
+                                                           a.steps, rng),
+        step_line="{0.step:3d}: eps={0.epsilon:.5f} E[drop]={0.expected_drop: .3e} "
+                  "bound={0.bound: .3e}",
+        claim="acquisition bound", quiet=False)
     return parser, run
 
 
@@ -198,7 +198,8 @@ def _run_command(args) -> int:
     print(f"final regret: mean {summary.final_mean:.6f} "
           f"+/- {summary.final_stderr:.6f}, median {summary.final_median:.6f}")
     print(f"mean algorithm time per step: "
-          f"{summary.mean_algorithm_time_per_step * 1e3:.3f} ms")
+          f"{summary.mean_algorithm_time_per_step * 1e3:.3f} ms, "
+          f"late/early ratio {_late_early_ratio(traces):.3f}")
     for trace in traces:
         if trace.aborted:
             print(f"seed {trace.seed}: ABORTED after {len(trace)} steps ({trace.error})")
@@ -214,72 +215,51 @@ def _run_command(args) -> int:
     return 1 if any(t.aborted for t in traces) else 0
 
 
+def _late_early_ratio(traces) -> float:
+    """Mean algorithm time of a run's last min(100, n) steps over that of
+    its first min(100, n), averaged over the runs."""
+    ratios = []
+    for times in (trace.algorithm_times() for trace in traces):
+        window = min(100, len(times))
+        ratios.append(times[-window:].mean() / times[:window].mean())
+    return float(np.mean(ratios))
+
+
 def _problem_params(args) -> dict:
     """Every problem parameter given as a flag (or in a config file)."""
     return {key: getattr(args, key) for key in PROBLEM_PARAMS
             if getattr(args, key, None) is not None}
 
 
-def _drop_audit_command(args) -> int:
+def _audit_command(args) -> int:
+    """Run the command's `audit(args, rng)` on instances seeded seed,
+    seed + 1, ...; print each step (only the failures under --quiet) as
+    "instance k step " + step_line.format(step) and a verdict, then each
+    instance's tally."""
+    if args.instances < 1:
+        raise ValueError(f"instances must be at least 1, got {args.instances!r}")
     failures = 0
     for k in range(args.instances):
-        rng = np.random.default_rng(args.seed + k)
-        report = kl_drop_audit(args.d, args.m, args.eta, args.steps, rng,
-                               sparsity=args.sparsity)
+        report = args.audit(args, np.random.default_rng(args.seed + k))
         for step in report.steps:
             if not args.quiet or not step.holds:
                 verdict = "PASS" if step.holds else "FAIL"
-                print(f"instance {k} step {step.step:4d}: drop={step.drop: .3e} "
-                      f"bound={step.bound: .3e} loss={step.loss: .4f} {verdict}")
-        failures += len(report.violations)
-        print(f"instance {k}: {args.steps - len(report.violations)}/{args.steps} steps hold")
+                print(f"instance {k} step {args.step_line.format(step)} {verdict}")
+        n_failed, n_steps = len(report.violations), len(report.steps)
+        failures += n_failed
+        print(f"instance {k}: {n_steps - n_failed}/{n_steps} steps hold")
     if failures:
-        print(f"FAIL: {failures} step(s) violate the KL-drop inequality")
+        print(f"FAIL: {failures} step(s) violate the {args.claim}")
         return 1
-    print("PASS: every audited step satisfies the KL-drop inequality")
-    return 0
-
-
-def _acq_audit_command(args) -> int:
-    failures = 0
-    for k in range(args.instances):
-        rng = np.random.default_rng(args.seed + k)
-        report = exponential_acquisition_audit(args.d, args.m, args.temperature,
-                                               args.eta, args.steps, rng)
-        for step in report.steps:
-            verdict = "PASS" if step.holds else "FAIL"
-            print(f"instance {k} step {step.step:3d}: eps={step.epsilon:.5f} "
-                  f"E[drop]={step.expected_drop: .3e} bound={step.bound: .3e} {verdict}")
-        failures += sum(not s.holds for s in report.steps)
-    if failures:
-        print(f"FAIL: {failures} step(s) violate the acquisition bound")
-        return 1
-    print("PASS: every audited step satisfies the acquisition bound")
-    return 0
-
-
-def _bench_command(args) -> int:
-    config = ExperimentConfig(problem=args.problem, algorithm="comex",
-                              budget=args.budget, seeds=(args.seed,), m=args.m,
-                              problem_params=_problem_params(args))
-    [trace] = run_experiment(config)
-    times = trace.algorithm_times()
-    early = times[: min(100, len(times))]
-    late = times[max(0, len(times) - 100):]
-    ratio = late.mean() / early.mean() if early.mean() > 0 else float("inf")
-    print(f"steps: {len(times)}")
-    print(f"mean algorithm time, steps 1-{len(early)}: {early.mean() * 1e3:.3f} ms")
-    print(f"mean algorithm time, last {len(late)}: {late.mean() * 1e3:.3f} ms")
-    print(f"late/early ratio: {ratio:.3f}")
-    print(f"overall mean: {times.mean() * 1e3:.3f} ms/step, max {times.max() * 1e3:.3f} ms")
+    print(f"PASS: every audited step satisfies the {args.claim}")
     return 0
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, run = _build_parser()
-    commands = {"run": _run_command, "audit-lemma1": _drop_audit_command,
-                "audit-theorem1": _acq_audit_command, "bench-step-time": _bench_command}
+    commands = {"run": _run_command, "audit-lemma1": _audit_command,
+                "audit-theorem1": _audit_command}
     try:
         args = parser.parse_args(argv)
         if args.command == "run" and args.config:

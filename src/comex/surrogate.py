@@ -19,24 +19,18 @@ range, and a cumulative weighted variance v.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .basis import MonomialBasis
-from .domain import Unconstrained, sample_uniform
 
 __all__ = [
     "ADAPTIVE_C",
     "LearningRateSchedule",
     "UpdateDiagnostics",
     "MonomialSurrogate",
-    "TrueCoefficients",
-    "kl_divergence",
-    "kl_drop_audit",
-    "DropAuditStep",
-    "DropAuditReport",
 ]
 
 # Constant in the anytime step-size schedule: sqrt(2(sqrt(2)-1)/(e-2)).
@@ -255,115 +249,3 @@ class MonomialSurrogate:
         model.lr.v = read("lr_v", nonnegative)
         model.w = np.concatenate([read("w_plus", weights), read("w_minus", weights)])
         return model
-
-
-@dataclass(frozen=True)
-class TrueCoefficients:
-    """Signed target coefficients with l1 norm at most 1 (audit helper).
-
-    Any such vector can be written as a difference of two nonnegative vectors
-    whose joint mass is exactly 1; :meth:`dual_simplex` uses the positive and
-    negative parts and spreads the leftover mass uniformly across all 2p
-    coordinates, which leaves the represented function unchanged.
-    """
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        object.__setattr__(self, "alpha", alpha)
-        if float(np.abs(alpha).sum()) > 1.0 + 1e-9:
-            raise ValueError("target coefficients must have l1 norm at most 1")
-
-    def dual_simplex(self) -> np.ndarray:
-        pos = np.clip(self.alpha, 0.0, None)
-        neg = np.clip(-self.alpha, 0.0, None)
-        w = np.concatenate([pos, neg])
-        slack = 1.0 - float(w.sum())
-        if slack > 0.0:
-            w = w + slack / w.size
-        return w
-
-    def evaluate(self, basis: MonomialBasis, x) -> float:
-        return float(self.alpha @ basis.features(x))
-
-
-def kl_divergence(target, model: MonomialSurrogate) -> float:
-    """KL(target || model weights) over the doubled 2p coordinate system.
-
-    `target` is a nonnegative 2p vector on the simplex, such as
-    TrueCoefficients.dual_simplex(). Model weights are rescaled to total
-    mass 1 for comparability. Coordinates where the target is 0 contribute
-    nothing; a model weight of exactly 0 under target mass yields +inf
-    (reported, never clamped).
-    """
-    tw = np.asarray(target, dtype=np.float64)
-    w = model.w
-    if tw.shape != w.shape:
-        raise ValueError(f"target has shape {tw.shape}, model expects {w.shape}")
-    w = w / w.sum()
-    support = tw > 0.0
-    if np.any(w[support] == 0.0):
-        return math.inf
-    return float(np.sum(tw[support] * np.log(tw[support] / w[support])))
-
-
-@dataclass
-class DropAuditStep:
-    step: int
-    loss: float
-    drop: float
-    bound: float
-    holds: bool
-
-
-@dataclass
-class DropAuditReport:
-    """Per-step record of the KL-drop inequality check."""
-
-    d: int
-    m: int
-    eta: float
-    sparsity: float
-    steps: list[DropAuditStep] = field(default_factory=list)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(s.holds for s in self.steps)
-
-    @property
-    def violations(self) -> list[DropAuditStep]:
-        return [s for s in self.steps if not s.holds]
-
-
-def kl_drop_audit(d: int, m: int, eta: float, n_steps: int,
-                  rng: np.random.Generator, sparsity: float = 1.0,
-                  alpha_star: np.ndarray | None = None,
-                  slack: float = 1e-10) -> DropAuditReport:
-    """Check, step by step, that each update shrinks the KL distance to the
-    target weights by at least 2*eta*sparsity*(prediction error)^2 - eta^2.
-
-    The black box is exactly representable in the basis: f = <alpha_star,
-    psi> with alpha_star nonnegative on the simplex (drawn Dirichlet-uniform
-    when not supplied). Query points are drawn uniformly from the cube; the
-    claimed inequality does not depend on how the points are chosen.
-    """
-    basis = MonomialBasis(d, m)
-    if alpha_star is None:
-        alpha_star = rng.dirichlet(np.ones(basis.p))
-    target = TrueCoefficients(np.asarray(alpha_star, dtype=np.float64))
-    dual = target.dual_simplex()
-    model = MonomialSurrogate(basis, sparsity, learning_rate=eta)
-    cube = Unconstrained(d)
-
-    report = DropAuditReport(d=d, m=m, eta=eta, sparsity=sparsity)
-    phi = kl_divergence(dual, model)
-    for t in range(n_steps):
-        x = sample_uniform(cube, rng)
-        diag = model.update(x, target.evaluate(basis, x))
-        phi_next = kl_divergence(dual, model)
-        drop = phi - phi_next
-        bound = 2.0 * eta * sparsity * diag.loss**2 - eta**2
-        report.steps.append(DropAuditStep(t, diag.loss, drop, bound, drop >= bound - slack))
-        phi = phi_next
-    return report

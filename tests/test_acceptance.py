@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from comex.acquisition import exponential_acquisition_audit
+from comex.audits import exponential_acquisition_audit, kl_drop_audit
 from comex.basis import MonomialBasis
 from comex.benchmarks import (
     ising_make,
@@ -24,7 +24,7 @@ from comex.benchmarks import (
 from comex.domain import SumConstrained, Unconstrained, sample_uniform
 from comex.harness import ExperimentConfig, run_experiment, run_single
 from comex.results import summarize
-from comex.surrogate import MonomialSurrogate, kl_drop_audit
+from comex.surrogate import MonomialSurrogate
 
 
 def _report(name, detail=""):

@@ -5,16 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from comex import walk_kernel
-from comex.acquisition import (
-    AnnealSchedule,
-    LocalField,
-    exponential_acquisition_audit,
-    exponential_pmf,
-    pmf_kl,
-    propose_query,
-)
+from comex.acquisition import AnnealSchedule, LocalField, propose_query
+from comex.audits import exponential_acquisition_audit, exponential_pmf, pmf_kl
 from comex.basis import MonomialBasis
 from comex.domain import (
     SumConstrained,
@@ -38,10 +33,9 @@ def test_schedule_values():
 
 
 def test_schedule_rejects_nonpositive_omega():
-    with pytest.raises(ValueError):
-        AnnealSchedule(0.0, 5)
-    with pytest.raises(ValueError):
-        AnnealSchedule(-1.0, 5)
+    for omega in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            AnnealSchedule(omega, 5)
 
 
 # -- the local-field acquisition walk -----------------------------------------
@@ -251,6 +245,26 @@ def test_pmf_two_coordinate_example():
 def test_pmf_refuses_large_dimensions():
     with pytest.raises(ValueError):
         exponential_pmf(lambda x: 0.0, 13, temperature=1.0)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+def test_pmf_rejects_a_temperature_that_is_not_positive_and_finite(temperature):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        exponential_pmf(np.zeros(4), 2, temperature)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), temperature=st.floats(0.05, 10.0),
+       bounds=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), seed=st.integers(0, 2**32 - 1))
+def test_pmf_matches_scipy_logsumexp(d, temperature, bounds, seed):
+    # values uniform on [lo, hi] in [-1, 1], so near-constant objectives are drawn too
+    values = np.random.default_rng(seed).uniform(min(bounds), max(bounds), size=2**d)
+    pmf = exponential_pmf(values, d, temperature)
+    logits = -values / temperature
+    log_z = float(logsumexp(logits))
+    # the absolute floor covers a log-partition that cancels to near 0
+    assert pmf.log_partition == pytest.approx(log_z, rel=1e-14, abs=1e-14)
+    np.testing.assert_allclose(pmf.probs, np.exp(logits - log_z), rtol=1e-14, atol=0.0)
 
 
 def test_pmf_identical_objectives_have_zero_divergence():

@@ -83,17 +83,36 @@ def test_theorem_audit_passes(capsys):
                  "--eta", "0.01", "--seed", "0"])
     assert code == 0
     out = capsys.readouterr().out
+    assert "instance 0: 2/2 steps hold" in out
     assert "PASS" in out
 
 
-def test_bench_step_time_reports_ratio(capsys):
-    # problem flags come from the registry, as for `run`
+@pytest.mark.parametrize("argv", [
+    ["audit-lemma1", "--steps", "-5"], ["audit-lemma1", "--steps", "0"],
+    ["audit-lemma1", "--instances", "0"], ["audit-theorem1", "--steps", "0"],
+    ["audit-theorem1", "--instances", "-1"], ["audit-theorem1", "--T", "inf"],
+    ["audit-theorem1", "--T", "nan"], ["audit-theorem1", "--T", "0"],
+])
+def test_audit_that_would_check_nothing_exits_one(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "must be" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_run_reports_late_early_ratio(capsys):
+    # problem flags come from the registry
     for problem_flags in (["--problem", "contamination", "--d", "8"],
                           ["--problem", "ising", "--rows", "2", "--cols", "2"]):
-        code = main(["bench-step-time", *problem_flags, "--budget", "30", "--m", "2"])
+        code = main(["run", *problem_flags, "--budget", "30", "--m", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "steps: 30" in out and "late/early ratio" in out
+        assert "30 steps" in out and "late/early ratio" in out
+
+
+def test_bench_step_time_command_is_gone(capsys):
+    assert main(["bench-step-time"]) == 2
+    assert "invalid choice: 'bench-step-time'" in capsys.readouterr().err
 
 
 def test_runtime_error_returns_one(tmp_path, capsys):

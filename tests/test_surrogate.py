@@ -7,17 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comex.acquisition import LocalField
+from comex.audits import TrueCoefficients, kl_divergence, kl_drop_audit
 from comex.basis import MonomialBasis
 from comex.domain import Unconstrained, apply_flips, sample_uniform
-from comex.surrogate import (
-    ADAPTIVE_C,
-    LearningRateSchedule,
-    MonomialSurrogate,
-    TrueCoefficients,
-    _dyadic_ceil,
-    kl_divergence,
-    kl_drop_audit,
-)
+from comex.surrogate import ADAPTIVE_C, LearningRateSchedule, MonomialSurrogate, _dyadic_ceil
 
 
 def random_model(rng, d=6, m=2, sparsity=1.0, n_updates=0, eta=0.05):

@@ -108,9 +108,10 @@ def test_an_edited_source_is_rebuilt_and_an_unchanged_one_is_not(cold_cache, tmp
     assert walk_kernel.load()._name == built[1]         # from the cache, no compile
 
 
-def test_importing_comex_does_not_load_the_kernel():
-    script = ("import comex; from comex import walk_kernel; "
-              "assert walk_kernel._library is walk_kernel._UNSET")
+def test_importing_comex_loads_neither_the_kernel_nor_scipy():
+    script = ("import sys; import comex; from comex import walk_kernel; "
+              "assert walk_kernel._library is walk_kernel._UNSET; "
+              "assert 'scipy' not in sys.modules")
     src = str(Path(comex.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0
