@@ -76,32 +76,6 @@ class ContaminationProblem:
     def evaluate(self, x) -> float:
         return self.evaluate_bits(to_bits(x))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "contamination",
-            "d": self.d,
-            "u": self.u,
-            "costs": self.costs,
-            "rho": self.rho,
-            "lambda_reg": self.lambda_reg,
-            "init_z": self.init_z,
-            "rates_a": self.rates_a,
-            "rates_b": self.rates_b,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ContaminationProblem":
-        return cls(
-            d=int(data["d"]),
-            u=float(data["u"]),
-            costs=np.asarray(data["costs"], dtype=np.float64),
-            rho=float(data["rho"]),
-            lambda_reg=float(data["lambda_reg"]),
-            init_z=np.asarray(data["init_z"], dtype=np.float64),
-            rates_a=np.asarray(data["rates_a"], dtype=np.float64),
-            rates_b=np.asarray(data["rates_b"], dtype=np.float64),
-        )
-
 
 def contamination_make(rng: np.random.Generator, d: int = 21,
                        n_paths: int = DEFAULT_PATHS, u: float = DEFAULT_LIMIT,

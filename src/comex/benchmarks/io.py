@@ -2,17 +2,21 @@
 
 JSON documents in which every real number is stored as a hex-float string,
 so instances round-trip bit exactly across machines. Arrays become (nested)
-lists; a "kind" tag selects the problem class on load.
+lists. A file holds the "kind" tag (the registry key) and then the init
+fields of that kind's dataclass in declaration order; the dataclass is the
+only declaration of the format.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .registry import PROBLEMS
+from .registry import PROBLEMS, kind_of
 
 __all__ = ["save_instance", "load_instance"]
 
@@ -44,13 +48,36 @@ def _decode(value):
 
 
 def save_instance(problem, path) -> None:
-    doc = _encode(problem.to_dict())
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    doc = {"kind": kind_of(problem)}
+    doc.update((f.name, getattr(problem, f.name)) for f in fields(problem) if f.init)
+    Path(path).write_text(json.dumps(_encode(doc), indent=2) + "\n")
 
 
 def load_instance(path):
+    """Build the instance a file holds. A missing or unknown key, an int
+    field that holds no int, or a float field that holds neither a float nor
+    an int, is a ValueError naming the file and the key; so is any parameter
+    the class's constructor rejects."""
     data = _decode(json.loads(Path(path).read_text()))
-    kind = data.get("kind")
+    kind = data.pop("kind", None) if isinstance(data, dict) else None
     if kind not in PROBLEMS:
         raise ValueError(f"{path}: unknown instance kind {kind!r}")
-    return PROBLEMS[kind].cls.from_dict(data)
+    cls = PROBLEMS[kind].cls
+    types = get_type_hints(cls)
+    names = [f.name for f in fields(cls) if f.init]
+    for key in data:
+        if key not in names:
+            raise ValueError(f"{path}: unknown key {key!r} for a {kind} instance")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{path}: missing key {name!r}")
+        value, scalar = data[name], types[name]
+        if scalar in (int, float):
+            if isinstance(value, bool) or not isinstance(value, (int, scalar)):
+                raise ValueError(f"{path}: key {name!r} must be {scalar.__name__}, "
+                                 f"got {value!r}")
+            data[name] = scalar(value)
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -67,6 +67,7 @@ class IsingProblem:
         n = self.n_nodes
         if n > MAX_NODES:
             raise ValueError(f"exact enumeration refused for more than {MAX_NODES} nodes")
+        self.edges = [tuple(e) for e in self.edges]
         self.coupling = np.asarray(self.coupling, dtype=np.float64)
         if self.coupling.shape != (self.d,):
             raise ValueError("one coupling per edge required")
@@ -128,26 +129,6 @@ class IsingProblem:
             kl = (1.0 - masks) @ removed + log_z_q - self._log_z_p
             values[codes] = kl + self.lambda_reg * masks.sum(axis=1)
         return values
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ising",
-            "rows": self.rows,
-            "cols": self.cols,
-            "edges": [list(e) for e in self.edges],
-            "coupling": self.coupling,
-            "lambda_reg": self.lambda_reg,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IsingProblem":
-        return cls(
-            rows=int(data["rows"]),
-            cols=int(data["cols"]),
-            edges=[tuple(e) for e in data["edges"]],
-            coupling=np.asarray(data["coupling"], dtype=np.float64),
-            lambda_reg=float(data["lambda_reg"]),
-        )
 
 
 def ising_make(rng: np.random.Generator, rows: int = 4, cols: int = 4,

@@ -79,13 +79,6 @@ class NQueensProblem:
         bits[: self.n] = 1
         return self.energy_bits(bits)
 
-    def to_dict(self) -> dict:
-        return {"kind": "nqueens", "n": self.n, "noise_sigma": self.noise_sigma}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NQueensProblem":
-        return cls(n=int(data["n"]), noise_sigma=float(data["noise_sigma"]))
-
 
 def nqueens_make(n: int = 5, noise_sigma: float = DEFAULT_NOISE_SIGMA) -> NQueensProblem:
     return NQueensProblem(n=n, noise_sigma=noise_sigma)

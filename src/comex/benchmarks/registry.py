@@ -1,8 +1,9 @@
 """The problem registry: one table entry per benchmark kind.
 
 `make(rng, **params)` draws an instance, `oracle(problem)` wraps it as its
-scaled oracle, `cls.from_dict` reads it from an instance file, and `params`
-maps each parameter the maker takes to the type a value is coerced to.
+scaled oracle, `cls` is its dataclass (whose init fields an instance file
+holds), and `params` maps each parameter the maker takes to the type a
+value is coerced to.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from .contamination import ContaminationProblem, contamination_make, contaminati
 from .ising import IsingProblem, ising_make, ising_oracle
 from .nqueens import NQueensProblem, nqueens_make, nqueens_oracle
 
-__all__ = ["ProblemKind", "PROBLEMS", "PROBLEM_PARAMS", "make_problem", "problem_oracle"]
+__all__ = ["ProblemKind", "PROBLEMS", "PROBLEM_PARAMS", "make_problem", "kind_of",
+           "problem_oracle"]
 
 
 class ProblemKind(NamedTuple):
@@ -50,9 +52,14 @@ def make_problem(kind: str, params: dict, rng):
     return PROBLEMS[kind].make(rng, **{k: types[k](v) for k, v in params.items()})
 
 
+def kind_of(problem) -> str:
+    """The registry key of an instance's class."""
+    for key, kind in PROBLEMS.items():
+        if type(problem) is kind.cls:
+            return key
+    raise TypeError(f"unsupported problem type {type(problem)!r}")
+
+
 def problem_oracle(problem):
     """The scaled oracle of an instance of any registered kind."""
-    for kind in PROBLEMS.values():
-        if type(problem) is kind.cls:
-            return kind.oracle(problem)
-    raise TypeError(f"unsupported problem type {type(problem)!r}")
+    return PROBLEMS[kind_of(problem)].oracle(problem)

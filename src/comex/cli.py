@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -84,32 +85,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run.add_argument("--config",
                      help="file of 'flag = value' lines, keyed by long flag names "
                           "(lambda, time_budget, dedup = true); explicit flags win")
-    run.add_argument("--problem", choices=list(PROBLEMS), default="contamination")
-    run.add_argument("--algo", choices=list(ALGORITHMS), default="comex")
-    run.add_argument("--budget", type=int, default=250, help="oracle evaluations per run")
-    run.add_argument("--seeds", type=parse_seeds, default="0",
-                     help="e.g. '0..9' or '0,1,4'")
-    run.add_argument("--m", type=int, default=2, help="maximum monomial order")
-    run.add_argument("--lambda", dest="sparsity", type=float, default=1.0,
+    # Each flag that sets an ExperimentConfig field has that field as its
+    # dest, and takes its default from the field (set_defaults below).
+    run.add_argument("--problem", choices=list(PROBLEMS))
+    run.add_argument("--algo", dest="algorithm", choices=list(ALGORITHMS))
+    run.add_argument("--budget", type=int, help="oracle evaluations per run")
+    run.add_argument("--seeds", type=parse_seeds, help="e.g. '0..9' or '0,1,4'")
+    run.add_argument("--m", type=int, help="maximum monomial order")
+    run.add_argument("--lambda", dest="sparsity", type=float,
                      help="total weight mass of the surrogate")
-    run.add_argument("--omega", type=float, default=0.5, help="annealing decay")
-    run.add_argument("--inner-iters", type=int, default=None,
+    run.add_argument("--omega", type=float, help="annealing decay")
+    run.add_argument("--inner-iters", type=int,
                      help="annealing proposals per acquisition (default 20*d)")
-    run.add_argument("--eta", type=parse_eta, default="adaptive",
-                     help="'adaptive' or a fixed step size")
-    run.add_argument("--time-budget", type=float, default=None,
-                     help="wall-clock budget in seconds")
-    run.add_argument("--clock", choices=["total", "algorithm"], default="total",
+    run.add_argument("--eta", type=parse_eta, help="'adaptive' or a fixed step size")
+    run.add_argument("--time-budget", dest="wall_clock_budget", type=float,
+                     metavar="TIME_BUDGET", help="wall-clock budget in seconds")
+    run.add_argument("--clock", dest="wall_clock_mode", choices=["total", "algorithm"],
                      help="which clock counts toward the time budget")
-    run.add_argument("--instance-seed", type=int, default=0)
-    run.add_argument("--instance-file", type=str, default=None,
-                     help="load a frozen benchmark instance")
+    run.add_argument("--instance-seed", type=int)
+    run.add_argument("--instance-file", type=str, help="load a frozen benchmark instance")
     run.add_argument("--save-instance", type=str, default=None,
                      help="write the instance file and continue")
     run.add_argument("--dedup", action="store_true",
                      help="re-anneal once when a proposal repeats an old query")
-    run.add_argument("--chains", type=int, default=1,
+    run.add_argument("--chains", dest="acq_chains", type=int, metavar="CHAINS",
                      help="annealing chains per acquisition (best result wins)")
+    run.set_defaults(**{f.name: f.default for f in fields(ExperimentConfig)
+                        if f.default is not MISSING})
     _add_problem_flags(run)
     run.add_argument("--out", type=str, default=None, help="output path")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -166,24 +168,9 @@ def _config_tokens(run: argparse.ArgumentParser, path: str) -> list[str]:
 
 
 def _run_command(args) -> int:
-    config = ExperimentConfig(
-        problem=args.problem,
-        algorithm=args.algo,
-        budget=args.budget,
-        seeds=args.seeds,
-        m=args.m,
-        sparsity=args.sparsity,
-        omega=args.omega,
-        inner_iters=args.inner_iters,
-        eta=args.eta,
-        wall_clock_budget=args.time_budget,
-        wall_clock_mode=args.clock,
-        instance_seed=args.instance_seed,
-        instance_file=args.instance_file,
-        dedup=args.dedup,
-        acq_chains=args.chains,
-        problem_params=_problem_params(args),
-    )
+    config = ExperimentConfig(problem_params=_problem_params(args),
+                              **{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                                 if f.name != "problem_params"})
 
     oracle = None
     if args.save_instance:

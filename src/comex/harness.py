@@ -141,8 +141,8 @@ def drive(strategy, oracle, budget: int, noise_rng: np.random.Generator, *,
         strategy.tell(x, obs)
         update_time = time.perf_counter() - t1
         algorithm_time += acq_time + update_time
-        rows.append({"query_bits": to_bits(x), "raw": raw, "scaled": obs,
-                     "acq_time": acq_time, "update_time": update_time})
+        rows.append({"queries": to_bits(x), "raw_values": raw, "scaled_values": obs,
+                     "acquisition_times": acq_time, "update_times": update_time})
     return build_trace(name, seed, rows, oracle)
 
 

@@ -11,7 +11,7 @@ contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,12 +68,17 @@ class RunTrace:
 def build_trace(algorithm: str, seed: int, rows: list[dict], oracle,
                 truncated: bool = False, aborted: bool = False,
                 error: str | None = None) -> RunTrace:
-    """Assemble a RunTrace from per-step row dicts (keys: query_bits, raw,
-    scaled, acq_time, update_time); regret follows the oracle's anchor."""
+    """Assemble a RunTrace from per-step row dicts keyed by RunTrace's
+    per-step field names: each key becomes that field's column (`queries` a
+    list of bit vectors, every other key a float array). Regret follows the
+    oracle's anchor. To record one more value per step, declare a RunTrace
+    field and add the same key to `harness.drive`'s row; the JSON export
+    writes every field."""
     if not rows:
         raise ValueError("a run must contain at least one oracle call")
-    raw = np.array([r["raw"] for r in rows])
-    scaled = np.array([r["scaled"] for r in rows])
+    columns = {key: [row[key] for row in rows] if key == "queries"
+               else np.array([row[key] for row in rows]) for key in rows[0]}
+    raw, scaled = columns["raw_values"], columns["scaled_values"]
     anchor = oracle.regret_anchor
     axis = oracle.regret_axis
     if axis == "raw":
@@ -85,22 +90,9 @@ def build_trace(algorithm: str, seed: int, rows: list[dict], oracle,
         regret = simple_regret(raw, anchor)
     else:
         regret = simple_regret(scaled, anchor)
-    return RunTrace(
-        algorithm=algorithm,
-        seed=seed,
-        queries=[r["query_bits"] for r in rows],
-        raw_values=raw,
-        scaled_values=scaled,
-        best_scaled=np.minimum.accumulate(scaled),
-        regret=regret,
-        acquisition_times=np.array([r["acq_time"] for r in rows]),
-        update_times=np.array([r["update_time"] for r in rows]),
-        regret_anchor=anchor,
-        regret_axis=axis,
-        truncated=truncated,
-        aborted=aborted,
-        error=error,
-    )
+    return RunTrace(algorithm=algorithm, seed=seed, best_scaled=np.minimum.accumulate(scaled),
+                    regret=regret, regret_anchor=anchor, regret_axis=axis,
+                    truncated=truncated, aborted=aborted, error=error, **columns)
 
 
 @dataclass
@@ -193,22 +185,17 @@ def load_summary_csv(path) -> dict[str, np.ndarray]:
 
 
 def _trace_to_dict(trace: RunTrace) -> dict:
-    return {
-        "algorithm": trace.algorithm,
-        "seed": trace.seed,
-        "queries": ["".join(str(int(b)) for b in q) for q in trace.queries],
-        "raw_values": [float(v) for v in trace.raw_values],
-        "scaled_values": [float(v) for v in trace.scaled_values],
-        "best_scaled": [float(v) for v in trace.best_scaled],
-        "regret": [float(v) for v in trace.regret],
-        "acquisition_times": [float(v) for v in trace.acquisition_times],
-        "update_times": [float(v) for v in trace.update_times],
-        "regret_anchor": float(trace.regret_anchor),
-        "regret_axis": trace.regret_axis,
-        "truncated": trace.truncated,
-        "aborted": trace.aborted,
-        "error": trace.error,
-    }
+    """One key per RunTrace field, in declaration order: queries as bit
+    strings, arrays and floats as Python floats, the rest as they are."""
+    doc = {}
+    for f in fields(RunTrace):
+        value = getattr(trace, f.name)
+        if f.name == "queries":
+            value = ["".join(str(int(b)) for b in q) for q in value]
+        elif f.type in ("np.ndarray", "float"):
+            value = np.asarray(value, dtype=np.float64).tolist()
+        doc[f.name] = value
+    return doc
 
 
 def export_json(path, config: dict, traces: list[RunTrace],

@@ -17,8 +17,8 @@ from comex.results import (
 
 
 def make_trace(values, seed=0, algorithm="rs", anchor=-1.0, times=None):
-    rows = [{"query_bits": np.zeros(3, dtype=np.int64), "raw": v, "scaled": v,
-             "acq_time": (times[i] if times else 0.001), "update_time": 0.0}
+    rows = [{"queries": np.zeros(3, dtype=np.int64), "raw_values": v, "scaled_values": v,
+             "acquisition_times": (times[i] if times else 0.001), "update_times": 0.0}
             for i, v in enumerate(values)]
     oracle = Oracle("toy", Unconstrained(3), lambda x: 0.0, Known(-1.0, 1.0))
     return build_trace(algorithm, seed, rows, oracle)
@@ -45,8 +45,8 @@ def test_trace_best_so_far_monotone():
 
 
 def test_reference_level_must_be_below_observations():
-    rows = [{"query_bits": np.zeros(2, dtype=np.int64), "raw": 0.5, "scaled": 0.5,
-             "acq_time": 0.0, "update_time": 0.0}]
+    rows = [{"queries": np.zeros(2, dtype=np.int64), "raw_values": 0.5, "scaled_values": 0.5,
+             "acquisition_times": 0.0, "update_times": 0.0}]
     oracle = Oracle("toy", Unconstrained(2), lambda x: 0.5, Known(0.0, 2.0),
                     raw_regret_level=1.0)
     with pytest.raises(ValueError):
@@ -54,10 +54,10 @@ def test_reference_level_must_be_below_observations():
 
 
 def test_raw_axis_regret_uses_raw_values():
-    rows = [{"query_bits": np.zeros(2, dtype=np.int64), "raw": 5.0, "scaled": -0.5,
-             "acq_time": 0.0, "update_time": 0.0},
-            {"query_bits": np.zeros(2, dtype=np.int64), "raw": 3.0, "scaled": -0.7,
-             "acq_time": 0.0, "update_time": 0.0}]
+    rows = [{"queries": np.zeros(2, dtype=np.int64), "raw_values": 5.0, "scaled_values": -0.5,
+             "acquisition_times": 0.0, "update_times": 0.0},
+            {"queries": np.zeros(2, dtype=np.int64), "raw_values": 3.0, "scaled_values": -0.7,
+             "acquisition_times": 0.0, "update_times": 0.0}]
     oracle = Oracle("toy", Unconstrained(2), lambda x: 0.0, Known(0.0, 10.0),
                     raw_regret_level=1.0)
     trace = build_trace("rs", 0, rows, oracle)
