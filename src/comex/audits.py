@@ -165,21 +165,16 @@ class BoltzmannPmf:
 def exponential_pmf(values, d: int, temperature: float) -> BoltzmannPmf:
     """Boltzmann distribution over all 2^d points, computed with a max shift.
 
-    `values` is either a callable on spin points or a precomputed vector of
-    length 2^d in enumeration order. Enumeration only: refuses d beyond
-    PMF_DIMENSION_LIMIT.
+    `values` is a vector of length 2^d in enumeration order. Enumeration
+    only: refuses d beyond PMF_DIMENSION_LIMIT.
     """
     if d > PMF_DIMENSION_LIMIT:
         raise ValueError(f"exact acquisition pmf needs d <= {PMF_DIMENSION_LIMIT}")
     if not 0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
-    if callable(values):
-        points = enumerate_points(Unconstrained(d))
-        values = np.array([float(values(x)) for x in points])
-    else:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (2**d,):
-            raise ValueError(f"expected 2^{d} values, got shape {values.shape}")
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (2**d,):
+        raise ValueError(f"expected 2^{d} values, got shape {values.shape}")
     logits = -values / temperature
     top = logits.max()
     log_z = float(top + np.log(np.exp(logits - top).sum()))

@@ -35,16 +35,17 @@ class Oracle:
     `raw_fn` is the deterministic raw objective on spin points. `observe`
     returns (raw, observation); the observation is the scaled value plus
     optional Gaussian noise (noise lives on the scaled axis). A non-finite
-    raw value is an error, and so is a raw value outside the envelope
-    [lo, hi], since the affine map — and every regret comparison built on
-    it — would be invalid.
+    raw value or observation is an error, and so is a raw value outside the
+    envelope [lo, hi], since the affine map — and every regret comparison
+    built on it — would be invalid.
     """
 
     def __init__(self, name: str, constraint, raw_fn: Callable[[np.ndarray], float],
                  bounds: Known, noise_sigma: float = 0.0,
                  raw_regret_level: float | None = None):
-        if noise_sigma < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0 <= noise_sigma < math.inf:
+            raise ValueError(f"oracle '{name}': noise level must be nonnegative and finite, "
+                             f"got {noise_sigma!r}")
         self.name = name
         self.constraint = constraint
         self._raw_fn = raw_fn
@@ -89,6 +90,8 @@ class Oracle:
             if rng is None:
                 raise ValueError("a noisy oracle needs an rng")
             value += self.noise_sigma * rng.standard_normal()
+            if not math.isfinite(value):
+                raise ValueError(f"oracle '{self.name}' observed {value}, which is not finite")
         return raw, value
 
 

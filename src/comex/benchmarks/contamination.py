@@ -11,6 +11,7 @@ random numbers), so the oracle is deterministic per instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ class ContaminationProblem:
         self.rates_a = np.asarray(self.rates_a, dtype=np.float64)
         self.rates_b = np.asarray(self.rates_b, dtype=np.float64)
         n_paths = self.init_z.size
+        for name, holds, rule in (("d", self.d >= 1, "at least 1"),
+                                  ("n_paths", n_paths >= 1, "at least 1"),
+                                  ("u", math.isfinite(self.u), "finite")):
+            if not holds:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.costs.shape != (self.d,):
             raise ValueError("one cost per stage required")
         if self.rates_a.shape != (self.d, n_paths) or self.rates_b.shape != (self.d, n_paths):

@@ -60,7 +60,7 @@ def load_instance(path):
     the class's constructor rejects."""
     data = _decode(json.loads(Path(path).read_text()))
     kind = data.pop("kind", None) if isinstance(data, dict) else None
-    if kind not in PROBLEMS:
+    if not isinstance(kind, str) or kind not in PROBLEMS:
         raise ValueError(f"{path}: unknown instance kind {kind!r}")
     cls = PROBLEMS[kind].cls
     types = get_type_hints(cls)

@@ -68,6 +68,9 @@ class IsingProblem:
         if n > MAX_NODES:
             raise ValueError(f"exact enumeration refused for more than {MAX_NODES} nodes")
         self.edges = [tuple(e) for e in self.edges]
+        if not self.edges:
+            raise ValueError(f"edges must be nonempty, got none on a "
+                             f"{self.rows}x{self.cols} grid")
         self.coupling = np.asarray(self.coupling, dtype=np.float64)
         if self.coupling.shape != (self.d,):
             raise ValueError("one coupling per edge required")

@@ -43,9 +43,10 @@ def _positive(value) -> bool:
     return 0 < value < math.inf
 
 
-def _count(value) -> bool:
-    """True for an integer of at least 1; false for a float or a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+def _count(value, least: int = 1) -> bool:
+    """True for an integer of at least `least`; false for a float or a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
 
 
 @dataclass
@@ -68,12 +69,13 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(self.seeds)
         for name, holds, rule in (
             ("problem", self.problem in PROBLEMS, "one of " + ", ".join(PROBLEMS)),
             ("algorithm", self.algorithm in ALGORITHMS, "one of " + ", ".join(ALGORITHMS)),
             ("budget", _count(self.budget), "an integer of at least 1"),
-            ("seeds", bool(self.seeds) and min(self.seeds) >= 0, "nonempty and nonnegative"),
+            ("seeds", bool(self.seeds) and all(_count(s, 0) for s in self.seeds),
+             "nonempty nonnegative integers"),
             ("m", _count(self.m), "an integer of at least 1"),
             ("sparsity", _positive(self.sparsity), "positive and finite"),
             ("omega", _positive(self.omega), "positive and finite"),
@@ -81,7 +83,7 @@ class ExperimentConfig:
             ("inner_iters", self.inner_iters is None or _count(self.inner_iters),
              "None or an integer of at least 1"),
             ("acq_chains", _count(self.acq_chains), "an integer of at least 1"),
-            ("instance_seed", self.instance_seed >= 0, "nonnegative"),
+            ("instance_seed", _count(self.instance_seed, 0), "a nonnegative integer"),
             ("wall_clock_budget", self.wall_clock_budget is None
              or self.wall_clock_budget >= 0, "nonnegative"),
             ("wall_clock_mode", self.wall_clock_mode in ("total", "algorithm"),
@@ -89,6 +91,7 @@ class ExperimentConfig:
         ):
             if not holds:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        self.seeds = tuple(map(int, self.seeds))  # numpy integers become ints for JSON
 
     def resolved_inner_iters(self, d: int) -> int:
         return self.inner_iters if self.inner_iters is not None else INNER_ITERS_PER_DIMENSION * d

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +316,46 @@ def test_instance_roundtrip_nqueens(tmp_path):
 
 def test_instance_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"kind": "mystery"}')
-    with pytest.raises(ValueError):
+    for text in ('{"kind": "mystery"}', '{"kind": ["ising"]}', '["ising"]'):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_instance(path)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc.pop("cols"), "missing key 'cols'"),
+    (lambda doc: doc.update(colour="red"), "unknown key 'colour'"),
+    (lambda doc: doc.update(rows=4.5), "key 'rows' must be int"),
+    (lambda doc: doc.update(rows=True), "key 'rows' must be int"),
+    (lambda doc: doc.update(lambda_reg="0.1"), "key 'lambda_reg' must be float"),
+    (lambda doc: doc.update(edges=[]), "edges must be nonempty"),
+])
+def test_instance_file_errors_name_the_file_and_the_key(tmp_path, edit, named):
+    path = tmp_path / "ising.json"
+    save_instance(ising_make(np.random.default_rng(8), rows=2, cols=2), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{named}"):
         load_instance(path)
+
+
+def test_instance_float_field_takes_an_integer(tmp_path):
+    path = tmp_path / "nqueens.json"
+    path.write_text('{"kind": "nqueens", "n": 4, "noise_sigma": 0}')
+    assert load_instance(path).noise_sigma == 0.0
+
+
+@pytest.mark.parametrize("params, named", [
+    ({"n_paths": 0}, "n_paths"), ({"d": 0}, "d"),
+    ({"u": math.nan}, "u"), ({"u": math.inf}, "u"),
+])
+def test_contamination_rejects_degenerate_parameters(params, named):
+    with pytest.raises(ValueError, match=f"^{named} must be"):
+        contamination_make(np.random.default_rng(0), **{"d": 5, **params})
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (0, 3)])
+def test_ising_rejects_a_grid_without_edges(rows, cols):
+    with pytest.raises(ValueError, match="^edges must be nonempty"):
+        ising_make(np.random.default_rng(0), rows=rows, cols=cols)

@@ -189,6 +189,7 @@ def test_every_problem_parameter_is_a_flag(tmp_path):
     ("--chains", "-3"), ("--time-budget", "nan"), ("--time-budget", "-1"),
     ("--eta", "-1"), ("--seeds", "-3"), ("--seeds", "0,-3"), ("--instance-seed", "-1"),
     ("--budget", "0"), ("--m", "0"), ("--inner-iters", "0"), ("--chains", "0"),
+    ("--noise-sigma", "nan"), ("--noise-sigma", "inf"), ("--noise-sigma", "-1"),
 ])
 def test_out_of_range_option_exits_one(capsys, flag, value):
     code = main(["run", "--problem", "nqueens", "--n", "4", "--budget", "3", flag, value])

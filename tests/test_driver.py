@@ -1,6 +1,9 @@
 """The shared run loop: every algorithm aborts, truncates and shares an
 instance the same way."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,26 @@ def test_oracle_failure_aborts_with_partial_trace(algorithm, mode):
 def test_failure_at_first_call_raises_one_clear_error(algorithm, mode):
     with pytest.raises(RuntimeError, match=f"{algorithm}: the first oracle call failed"):
         run_on(algorithm, failing_oracle(1, mode))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_oracle_rejects_a_noise_level_that_is_not_nonnegative_and_finite(sigma):
+    with pytest.raises(ValueError, match="oracle 'loud': noise level must be"):
+        Oracle("loud", Unconstrained(2), lambda x: 0.0, Known(-1.0, 1.0), noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_non_finite_observation_aborts_with_partial_trace(algorithm):
+    # Finite raw values; the second noise draw overflows the observation.
+    oracle = Oracle("loud", Unconstrained(6), lambda x: float(np.sum(x)), Known(-6.0, 6.0),
+                    noise_sigma=1e308)
+    draws = iter([0.0] + [4.0] * 9)
+    noise = SimpleNamespace(standard_normal=lambda: next(draws))
+    strategy = harness.ALGORITHMS[algorithm](oracle.constraint, ExperimentConfig(),
+                                             np.random.default_rng(0))
+    trace = harness.drive(strategy, oracle, 10, noise, name=algorithm, seed=0)
+    assert trace.aborted and len(trace) == 1
+    assert "oracle 'loud' observed inf, which is not finite" in trace.error
 
 
 def test_observe_rejects_non_finite_values():

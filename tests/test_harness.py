@@ -42,7 +42,9 @@ def test_config_validation():
                          ("wall_clock_budget", -1.0), ("problem", "xyz"),
                          ("budget", 2.5), ("budget", True), ("m", 2.5), ("m", True),
                          ("inner_iters", 2.5), ("inner_iters", True),
-                         ("acq_chains", 1.5), ("acq_chains", True)]:
+                         ("acq_chains", 1.5), ("acq_chains", True), ("seeds", (1.7,)),
+                         ("seeds", (0, True)), ("instance_seed", 1.5),
+                         ("instance_seed", True)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             tiny_config(**{field: value})
     with pytest.raises(TypeError):
