@@ -1,8 +1,9 @@
 """Learning a multilinear surrogate with multiplicative weight updates.
 
 Builds the degree-bounded monomial basis, fits a hidden polynomial from
-point evaluations, and watches the KL distance between the model's weights
-and the target coefficients shrink with every update.
+point evaluations, watches the KL distance between the model's weights
+and the target coefficients shrink with every update, and ends with a cold
+acquisition walk on the learned surrogate.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from comex import (
     MonomialSurrogate,
     TrueCoefficients,
     Unconstrained,
-    apply_flips,
     kl_divergence,
     sample_uniform,
 )
@@ -49,14 +49,11 @@ for i in top:
     print(f"  {basis.terms[i]!s:12s} learned {model.coefficients[i]:+.4f} "
           f"(target {alpha[i]:+.4f})")
 
-print("\nthe acquisition walk scores a move from a local field it keeps up to")
-print("date, without recomputing the feature vector; here against predict:")
+print("\nthe acquisition walk scores each move from a local field it keeps up")
+print("to date; at a low temperature it walks downhill on the surrogate:")
 x = sample_uniform(cube, rng)
-fx = model.predict(x)
 field = LocalField(model, x)
-print(f"predict(x) = {fx:+.6f}")
-print("move                   field delta   predict difference")
-print(f"flip coordinate 3      {field.flip_delta(3):+.6f}     "
-      f"{model.predict(apply_flips(x, (3,))) - fx:+.6f}")
-print(f"swap coordinates 1,4   {field.swap_delta(1, 4):+.6f}     "
-      f"{model.predict(apply_flips(x, (1, 4))) - fx:+.6f}")
+n_iters = 20 * d
+y = field.walk(cube, temperature=1e-3, n_iters=n_iters, rng=rng)
+print(f"predict(start) = {model.predict(x):+.6f}")
+print(f"predict(end)   = {model.predict(y):+.6f}  ({field.accepted}/{n_iters} moves accepted)")

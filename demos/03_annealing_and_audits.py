@@ -51,7 +51,7 @@ print("\n== expected-improvement audit for the Boltzmann acquisition ==")
 for T in (0.5, 1.0, 2.0):
     report = exponential_acquisition_audit(6, 2, temperature=T, eta=0.01,
                                            n_steps=3, rng=np.random.default_rng(4))
-    verdict = "holds" if report.all_hold else "FAILS"
+    verdict = "FAILS" if report.violations else "holds"
     eps = report.steps[0].epsilon
     print(f"T={T:4.1f}: bound {verdict} on every enumerated step "
           f"(initial divergence gap eps={eps:.4f})")

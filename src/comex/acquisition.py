@@ -83,19 +83,6 @@ class LocalField:
         self.accepted = 0
         self.plus = self.minus = None
 
-    def flip_delta(self, i: int) -> float:
-        """f(x with coordinate i flipped) - f(x)."""
-        return float(-2.0 * (self.x[i] * self._h[i] + self._g[i]))
-
-    def swap_delta(self, i: int, j: int) -> float:
-        """f(x with coordinates i and j both flipped) - f(x), for i != j."""
-        if i == j:
-            raise ValueError("a two-coordinate move needs two distinct coordinates")
-        x, h, g = self.x, self._h, self._g
-        delta = (-2.0 * (x[i] * h[i] + x[j] * h[j] + g[i] + g[j])
-                 + 4.0 * self._A[i, j] * x[i] * x[j])
-        return float(delta + 4.0 * self._pair_sum(i, j))
-
     def _pair_sum(self, i: int, j: int) -> float:
         """sum of c_I over the degree >= 3 terms I containing i and j, added
         one by one in term order (the native walk's order)."""

@@ -19,6 +19,7 @@ __all__ = ["TrueCoefficients", "kl_divergence", "AuditReport", "kl_drop_audit", 
            "exponential_acquisition_audit", "AcquisitionAuditStep"]
 
 PMF_DIMENSION_LIMIT = 12
+SLACK = 1e-10  # rounding allowance: a step holds when its drop >= bound - SLACK
 
 
 @dataclass(frozen=True)
@@ -83,25 +84,20 @@ class AuditReport:
     steps: list = field(default_factory=list)
 
     @property
-    def all_hold(self) -> bool:
-        return all(s.holds for s in self.steps)
-
-    @property
     def violations(self) -> list:
         return [s for s in self.steps if not s.holds]
 
 
-def _audit_instance(d: int, m: int, eta: float, sparsity: float, n_steps: int, alpha_star,
+def _audit_instance(d: int, m: int, eta: float, sparsity: float, n_steps: int,
                     rng: np.random.Generator):
-    """The basis, the black box (alpha_star, or a Dirichlet-uniform draw on the
-    simplex when it is not supplied), a fresh model and an empty report."""
+    """The basis, the black box (a Dirichlet-uniform draw on the simplex), a
+    fresh model and an empty report."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     basis = MonomialBasis(d, m)
-    if alpha_star is None:
-        alpha_star = rng.dirichlet(np.ones(basis.p))
+    target = TrueCoefficients(rng.dirichlet(np.ones(basis.p)))
     model = MonomialSurrogate(basis, sparsity, learning_rate=eta)
-    return basis, TrueCoefficients(alpha_star), model, AuditReport(d, m, eta, sparsity)
+    return basis, target, model, AuditReport(d, m, eta, sparsity)
 
 
 # -- the update's KL drop -----------------------------------------------------
@@ -117,18 +113,16 @@ class DropAuditStep:
 
 
 def kl_drop_audit(d: int, m: int, eta: float, n_steps: int,
-                  rng: np.random.Generator, sparsity: float = 1.0,
-                  alpha_star: np.ndarray | None = None,
-                  slack: float = 1e-10) -> AuditReport:
+                  rng: np.random.Generator, sparsity: float = 1.0) -> AuditReport:
     """Check, step by step, that each update shrinks the KL distance to the
     target weights by at least 2*eta*sparsity*(prediction error)^2 - eta^2.
 
     The black box is exactly representable in the basis: f = <alpha_star,
-    psi> with alpha_star nonnegative on the simplex (drawn Dirichlet-uniform
-    when not supplied). Query points are drawn uniformly from the cube; the
-    claimed inequality does not depend on how the points are chosen.
+    psi> with alpha_star drawn Dirichlet-uniform on the simplex. Query
+    points are drawn uniformly from the cube; the claimed inequality does
+    not depend on how the points are chosen.
     """
-    basis, target, model, report = _audit_instance(d, m, eta, sparsity, n_steps, alpha_star, rng)
+    basis, target, model, report = _audit_instance(d, m, eta, sparsity, n_steps, rng)
     dual = target.dual_simplex()
     phi = kl_divergence(dual, model)
     for t in range(n_steps):
@@ -137,7 +131,7 @@ def kl_drop_audit(d: int, m: int, eta: float, n_steps: int,
         phi_next = kl_divergence(dual, model)
         drop = phi - phi_next
         bound = 2.0 * eta * sparsity * diag.loss**2 - eta**2
-        report.steps.append(DropAuditStep(t, diag.loss, drop, bound, drop >= bound - slack))
+        report.steps.append(DropAuditStep(t, diag.loss, drop, bound, drop >= bound - SLACK))
         phi = phi_next
     return report
 
@@ -156,10 +150,6 @@ class BoltzmannPmf:
     temperature: float
     probs: np.ndarray
     log_partition: float
-
-    @property
-    def partition(self) -> float:
-        return math.exp(self.log_partition)
 
 
 def exponential_pmf(values, d: int, temperature: float) -> BoltzmannPmf:
@@ -193,28 +183,24 @@ class AcquisitionAuditStep:
     expected_drop: float
     bound: float
     holds: bool
-    mc_error: float | None = None
 
 
 def exponential_acquisition_audit(d: int, m: int, temperature: float, eta: float,
-                                  n_steps: int, rng: np.random.Generator,
-                                  alpha_star: np.ndarray | None = None,
-                                  sparsity: float = 1.0, trials: int | None = None,
-                                  slack: float = 1e-10) -> AuditReport:
+                                  n_steps: int, rng: np.random.Generator) -> AuditReport:
     """Audit the Boltzmann-acquisition guarantee on an enumerable instance.
 
     At each step the exact sampling pmfs of the surrogate and of the true
     function are formed, the gap
         eps = | KL(surrogate pmf || true pmf) - log(Z_true / Z_surrogate) |
     is measured, and the expectation (under the surrogate pmf) of the
-    one-step KL drop is computed by enumeration (or estimated from `trials`
-    samples). The audit asserts
-        E[drop] >= 2 * eta * sparsity * eps^2 * T^2 - eta^2.
+    one-step KL drop is computed by enumeration. With the model's weight
+    mass (sparsity) 1, the audit asserts
+        E[drop] >= 2 * eta * eps^2 * T^2 - eta^2.
     The next query is then drawn from the surrogate pmf and the model updated.
-    Requires target coefficients that are nonnegative on the simplex so the
-    KL potential is defined; values then automatically lie in [-1, 1].
+    The target coefficients are drawn on the simplex, so the KL potential
+    is defined and every value lies in [-1, 1].
     """
-    basis, target, model, report = _audit_instance(d, m, eta, sparsity, n_steps, alpha_star, rng)
+    basis, target, model, report = _audit_instance(d, m, eta, 1.0, n_steps, rng)
     dual = target.dual_simplex()
     points = enumerate_points(Unconstrained(d))
     features = np.stack([basis.features(x) for x in points])
@@ -233,20 +219,11 @@ def exponential_acquisition_audit(d: int, m: int, temperature: float, eta: float
             trial.update(points[idx], f_true[idx])
             return phi - kl_divergence(dual, trial)
 
-        mc_error = None
-        if trials is None:
-            drops = np.array([one_step_drop(i) for i in range(points.shape[0])])
-            expected = float(surrogate_pmf.probs @ drops)
-        else:
-            idxs = rng.choice(points.shape[0], size=trials, p=surrogate_pmf.probs)
-            drops = np.array([one_step_drop(i) for i in idxs])
-            expected = float(drops.mean())
-            mc_error = float(drops.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-
-        bound = 2.0 * eta * sparsity * epsilon**2 * temperature**2 - eta**2
-        tolerance = slack + (3.0 * mc_error if mc_error is not None else 0.0)
+        drops = np.array([one_step_drop(i) for i in range(points.shape[0])])
+        expected = float(surrogate_pmf.probs @ drops)
+        bound = 2.0 * eta * epsilon**2 * temperature**2 - eta**2
         report.steps.append(AcquisitionAuditStep(step, epsilon, expected, bound,
-                                                 expected >= bound - tolerance, mc_error))
+                                                 expected >= bound - SLACK))
 
         nxt = int(rng.choice(points.shape[0], p=surrogate_pmf.probs))
         model.update(points[nxt], f_true[nxt])

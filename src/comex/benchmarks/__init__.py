@@ -1,6 +1,6 @@
 """Benchmark oracles behind a uniform black-box interface."""
 
-from .base import CountingOracle, Known, Oracle
+from .base import Known, Oracle
 from .contamination import ContaminationProblem, contamination_make, contamination_oracle
 from .io import load_instance, save_instance
 from .ising import IsingProblem, grid_edges, ising_make, ising_oracle
@@ -15,7 +15,6 @@ from .nqueens import (
 __all__ = [
     "Known",
     "Oracle",
-    "CountingOracle",
     "grid_edges",
     "IsingProblem",
     "ising_make",

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Known", "Oracle", "CountingOracle"]
+__all__ = ["Known", "Oracle"]
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,3 @@ class Oracle:
                 raise ValueError(f"oracle '{self.name}' observed {value}, which is not finite")
         return raw, value
 
-
-class CountingOracle:
-    """Delegating wrapper that counts observe() calls (budget accounting)."""
-
-    def __init__(self, oracle: Oracle):
-        self._oracle = oracle
-        self.calls = 0
-
-    def observe(self, x, rng=None):
-        self.calls += 1
-        return self._oracle.observe(x, rng)
-
-    def __getattr__(self, name):
-        return getattr(self._oracle, name)

@@ -90,11 +90,10 @@ class LearningRateSchedule:
 
 @dataclass
 class UpdateDiagnostics:
-    """Per-update report: mixture loss, step size used, weight mass after."""
+    """Per-update report: mixture loss and the step size used."""
 
     loss: float
     eta: float
-    mass_after: float
 
 
 class MonomialSurrogate:
@@ -162,7 +161,7 @@ class MonomialSurrogate:
         z_bar = float(w_pre @ z)
         var_increment = float(w_pre @ (z - z_bar) ** 2)
         self.lr.advance(4.0 * self.sparsity * abs(loss), var_increment)
-        return UpdateDiagnostics(loss, eta, float(w.sum()))
+        return UpdateDiagnostics(loss, eta)
 
     def copy(self) -> "MonomialSurrogate":
         out = MonomialSurrogate.__new__(MonomialSurrogate)

@@ -15,6 +15,7 @@ None, warns once per process, and the walk runs in Python.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -35,22 +36,17 @@ _SIGNATURES = {
     "swap_walk": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR] + _HIGH,
 }
 
-_UNSET = object()
-_library = _UNSET
 
-
+@functools.cache
 def load() -> ctypes.CDLL | None:
     """The walk library, built on first use; None when it cannot be built."""
-    global _library
-    if _library is _UNSET:
-        try:
-            _library = _build_and_open()
-        except (OSError, subprocess.CalledProcessError) as exc:
-            _library = None
-            reason = exc.stderr.strip() if getattr(exc, "stderr", None) else exc
-            warnings.warn(f"native walk kernel unavailable, using the Python walk: {reason}",
-                          RuntimeWarning, stacklevel=3)
-    return _library
+    try:
+        return _build_and_open()
+    except (OSError, subprocess.CalledProcessError) as exc:
+        reason = exc.stderr.strip() if getattr(exc, "stderr", None) else exc
+        warnings.warn(f"native walk kernel unavailable, using the Python walk: {reason}",
+                      RuntimeWarning, stacklevel=3)
+        return None
 
 
 def _build_and_open() -> ctypes.CDLL:

@@ -82,8 +82,7 @@ def test_criterion_2_kl_drop_inequality():
         rng = np.random.default_rng(2000 + k)
         d = int(rng.integers(4, 9))
         m = int(rng.integers(1, 3))
-        report = kl_drop_audit(d, m, eta=0.01, n_steps=200, rng=rng,
-                               sparsity=1.0, slack=1e-10)
+        report = kl_drop_audit(d, m, eta=0.01, n_steps=200, rng=rng)
         total_steps += len(report.steps)
         violations.extend((k, s) for s in report.violations)
     elapsed = time.perf_counter() - start
@@ -111,7 +110,6 @@ def test_criterion_3_acquisition_bound():
             rng = np.random.default_rng(3000 + k)
             report = exponential_acquisition_audit(
                 6, 2, temperature=temperature, eta=0.01, n_steps=5, rng=rng,
-                sparsity=1.0, slack=1e-10,
             )
             for step in report.steps:
                 checked += 1

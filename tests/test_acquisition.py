@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -86,19 +85,15 @@ walk_cases = (st.integers(3, 9), st.sampled_from([1, 2, 3]), st.booleans(),
 
 @given(*walk_cases)
 @settings(max_examples=80, deadline=None)
-def test_field_deltas_match_predict_after_walks(d, m, constrained, seed):
+def test_walked_field_equals_a_fresh_field_at_its_point(d, m, constrained, seed):
     rng, model, constraint, temperature = walk_case(d, m, constrained, seed)
     field = LocalField(model, sample_uniform(constraint, rng))
     for _ in range(3):
         field.walk(constraint, temperature, int(rng.integers(1, 60)), rng)
-        x = field.x
-        assert contains(constraint, x)
-        fx = model.predict(x)
-        for i in range(d):
-            assert abs(field.flip_delta(i) - (model.predict(apply_flips(x, (i,))) - fx)) <= 1e-12
-        for i, j in itertools.combinations(range(d), 2):
-            swapped = model.predict(apply_flips(x, (i, j)))
-            assert abs(field.swap_delta(i, j) - (swapped - fx)) <= 1e-12
+        assert contains(constraint, field.x)
+        fresh = LocalField(model, field.x)
+        for name in ("_h", "_g", "_c"):
+            assert np.abs(getattr(field, name) - getattr(fresh, name)).max(initial=0.0) <= 1e-12
 
 
 # The walk-path fixtures patch the loader once per test, not per example.
@@ -223,7 +218,7 @@ def test_pmf_uniform_for_constant_objective():
     pmf = exponential_pmf(np.zeros(2**4), 4, temperature=1.0)
     assert np.allclose(pmf.probs, 1.0 / 16.0, atol=1e-15)
     assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert pmf.partition == pytest.approx(16.0, rel=1e-12)
+    assert math.exp(pmf.log_partition) == pytest.approx(16.0, rel=1e-12)
 
 
 def test_pmf_shift_invariance():
@@ -284,17 +279,9 @@ def test_acquisition_audit_bound_holds():
     report = exponential_acquisition_audit(6, 2, temperature=1.0, eta=0.01,
                                            n_steps=4, rng=rng)
     assert len(report.steps) == 4
-    assert report.all_hold
+    assert not report.violations
     for step in report.steps:
         assert step.expected_drop >= step.bound - 1e-10
-
-
-def test_acquisition_audit_sampled_mode():
-    rng = np.random.default_rng(11)
-    report = exponential_acquisition_audit(5, 2, temperature=1.0, eta=0.01,
-                                           n_steps=2, rng=rng, trials=200)
-    for step in report.steps:
-        assert step.mc_error is not None
 
 
 def test_epsilon_shrinks_as_temperature_grows():

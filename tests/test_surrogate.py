@@ -3,13 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from comex.acquisition import LocalField
 from comex.audits import TrueCoefficients, kl_divergence, kl_drop_audit
 from comex.basis import MonomialBasis
-from comex.domain import Unconstrained, apply_flips, sample_uniform
+from comex.domain import Unconstrained, sample_uniform
 from comex.surrogate import ADAPTIVE_C, LearningRateSchedule, MonomialSurrogate, _dyadic_ceil
 
 
@@ -70,64 +67,6 @@ def test_predict_bounded_by_sparsity():
         for _ in range(20):
             x = sample_uniform(Unconstrained(6), rng)
             assert abs(model.predict(x)) <= sparsity + 1e-12
-
-
-# -- flip deltas (scored from the walk's local field) --------------------------
-# Deltas after accepted moves are compared against `predict` in
-# tests/test_acquisition.py; these check a fresh field and pin the degenerate
-# cases.
-
-
-@given(st.integers(2, 8), st.integers(0, 10**6), st.integers(0, 40))
-@settings(max_examples=60, deadline=None)
-def test_flip_delta_matches_full_recompute(d, seed, n_updates):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, min(3, d) + 1))
-    model = random_model(rng, d=d, m=m, n_updates=n_updates % 8)
-    x = sample_uniform(Unconstrained(d), rng)
-    fx = model.predict(x)
-    i = int(rng.integers(d))
-    assert LocalField(model, x).flip_delta(i) == pytest.approx(
-        model.predict(apply_flips(x, (i,))) - fx, abs=1e-12
-    )
-
-
-@given(st.integers(3, 8), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_two_flip_delta_matches_full_recompute(d, seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, min(3, d) + 1))
-    model = random_model(rng, d=d, m=m, n_updates=6)
-    x = sample_uniform(Unconstrained(d), rng)
-    fx = model.predict(x)
-    i, j = rng.choice(d, size=2, replace=False)
-    assert LocalField(model, x).swap_delta(int(i), int(j)) == pytest.approx(
-        model.predict(apply_flips(x, (int(i), int(j)))) - fx, abs=1e-12
-    )
-
-
-def test_flip_delta_constant_only_model():
-    model = MonomialSurrogate(MonomialBasis(3, 1))
-    model.w_plus[:] = [0.7, 0.0, 0.0, 0.0]
-    model.w_minus[:] = 0.0
-    field = LocalField(model, np.array([1.0, -1.0, 1.0]))
-    assert field.flip_delta(1) == 0.0
-    assert field.swap_delta(0, 1) == 0.0
-
-
-def test_flip_delta_zero_model():
-    model = MonomialSurrogate(MonomialBasis(4, 2))
-    field = LocalField(model, np.array([1.0, -1.0, 1.0, -1.0]))
-    assert field.flip_delta(2) == 0.0
-
-
-def test_flip_delta_coordinate_out_of_range():
-    model = MonomialSurrogate(MonomialBasis(3, 1))
-    field = LocalField(model, np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(IndexError):
-        field.flip_delta(3)
-    with pytest.raises(ValueError):
-        field.swap_delta(1, 1)
 
 
 # -- the update step ----------------------------------------------------------
@@ -194,8 +133,7 @@ def test_update_mass_conservation_randomized():
         model = MonomialSurrogate(MonomialBasis(8, 2), sparsity, learning_rate=0.1)
         for _ in range(50):
             x = sample_uniform(Unconstrained(8), rng)
-            diag = model.update(x, float(rng.uniform(-1.0, 1.0)))
-            assert diag.mass_after == pytest.approx(sparsity, rel=1e-9)
+            model.update(x, float(rng.uniform(-1.0, 1.0)))
             assert model.mass == pytest.approx(sparsity, rel=1e-9)
             assert np.all(model.w_plus >= 0.0)
             assert np.all(model.w_minus >= 0.0)
@@ -355,7 +293,7 @@ def test_drop_audit_report_shape():
     report = kl_drop_audit(4, 1, eta=0.05, n_steps=10, rng=rng)
     assert len(report.steps) == 10
     assert report.eta == 0.05
-    assert report.all_hold == (len(report.violations) == 0)
+    assert report.violations == [s for s in report.steps if not s.holds]
 
 
 # -- checkpointing ------------------------------------------------------------

@@ -23,11 +23,19 @@ needs_compiler = pytest.mark.skipif(shutil.which(walk_kernel.COMPILER) is None,
 
 
 @pytest.fixture
-def cold_cache(tmp_path, monkeypatch):
+def fresh_loader(monkeypatch):
+    """A loader that has not run yet, and is reset again after the test."""
+    walk_kernel.load.cache_clear()
+    yield
+    monkeypatch.undo()
+    walk_kernel.load.cache_clear()
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch, fresh_loader):
     """An empty cache directory and a loader that has not run yet."""
     cache = tmp_path / "cache"
     monkeypatch.setattr(walk_kernel, "CACHE_DIR", str(cache))
-    monkeypatch.setattr(walk_kernel, "_library", walk_kernel._UNSET)
     return cache
 
 
@@ -54,9 +62,9 @@ def reload_warnings():
 
 def test_without_a_compiler_the_walk_falls_back_once_with_the_same_results(
         native_walk, cold_cache, tmp_path, monkeypatch):
-    monkeypatch.setattr(walk_kernel, "_library", native_walk)
-    native = walk_results()
-    monkeypatch.setattr(walk_kernel, "_library", walk_kernel._UNSET)
+    with monkeypatch.context() as patch:
+        patch.setattr(walk_kernel, "load", lambda: native_walk)
+        native = walk_results()
     monkeypatch.setenv("PATH", str(tmp_path))           # no compiler on PATH
     fallback, messages = reload_warnings()
     assert len(messages) == 1 and "using the Python walk" in messages[0]
@@ -65,11 +73,10 @@ def test_without_a_compiler_the_walk_falls_back_once_with_the_same_results(
     assert fallback == native
 
 
-def test_an_unwritable_cache_falls_back_with_a_warning(tmp_path, monkeypatch):
+def test_an_unwritable_cache_falls_back_with_a_warning(tmp_path, monkeypatch, fresh_loader):
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(walk_kernel, "CACHE_DIR", str(blocker / "cache"))
-    monkeypatch.setattr(walk_kernel, "_library", walk_kernel._UNSET)
     _, messages = reload_warnings()
     assert len(messages) == 1 and str(blocker) in messages[0]
 
@@ -98,19 +105,19 @@ def test_an_edited_source_is_rebuilt_and_an_unchanged_one_is_not(cold_cache, tmp
     monkeypatch.setattr(walk_kernel, "SOURCE", str(source))
     built = [walk_kernel.load()._name]
     source.write_text(source.read_text() + "\n/* edited */\n")
-    monkeypatch.setattr(walk_kernel, "_library", walk_kernel._UNSET)
+    walk_kernel.load.cache_clear()
     built.append(walk_kernel.load()._name)
     assert built[0] != built[1]
     assert sorted(os.listdir(cold_cache)) == sorted(os.path.basename(p) for p in built)
 
     monkeypatch.setattr(walk_kernel, "COMPILER", "no-such-compiler")
-    monkeypatch.setattr(walk_kernel, "_library", walk_kernel._UNSET)
+    walk_kernel.load.cache_clear()
     assert walk_kernel.load()._name == built[1]         # from the cache, no compile
 
 
 def test_importing_comex_loads_neither_the_kernel_nor_scipy():
     script = ("import sys; import comex; from comex import walk_kernel; "
-              "assert walk_kernel._library is walk_kernel._UNSET; "
+              "assert walk_kernel.load.cache_info().currsize == 0; "
               "assert 'scipy' not in sys.modules")
     src = str(Path(comex.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
