@@ -32,6 +32,13 @@ DEFAULT_PENALTY = 1.0
 DEFAULT_PATHS = 100
 
 
+def _check_sizes(d: int, n_paths: int) -> None:
+    """At least one stage and one sample path."""
+    for name, value in (("d", d), ("n_paths", n_paths)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 @dataclass
 class ContaminationProblem:
     d: int
@@ -49,11 +56,9 @@ class ContaminationProblem:
         self.rates_a = np.asarray(self.rates_a, dtype=np.float64)
         self.rates_b = np.asarray(self.rates_b, dtype=np.float64)
         n_paths = self.init_z.size
-        for name, holds, rule in (("d", self.d >= 1, "at least 1"),
-                                  ("n_paths", n_paths >= 1, "at least 1"),
-                                  ("u", math.isfinite(self.u), "finite")):
-            if not holds:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        _check_sizes(self.d, n_paths)
+        if not math.isfinite(self.u):
+            raise ValueError(f"u must be finite, got {self.u!r}")
         if self.costs.shape != (self.d,):
             raise ValueError("one cost per stage required")
         if self.rates_a.shape != (self.d, n_paths) or self.rates_b.shape != (self.d, n_paths):
@@ -88,6 +93,7 @@ def contamination_make(rng: np.random.Generator, d: int = 21,
                        cost: float = DEFAULT_COST, rho: float = DEFAULT_PENALTY,
                        lambda_reg: float = 0.01) -> ContaminationProblem:
     """Draw and freeze a random instance (shared sample paths)."""
+    _check_sizes(d, n_paths)
     return ContaminationProblem(
         d=d,
         u=u,

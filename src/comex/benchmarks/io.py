@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .registry import PROBLEMS, kind_of
+from .registry import PROBLEMS, as_scalar, kind_of
 
 __all__ = ["save_instance", "load_instance"]
 
@@ -54,10 +54,10 @@ def save_instance(problem, path) -> None:
 
 
 def load_instance(path):
-    """Build the instance a file holds. A missing or unknown key, an int
-    field that holds no int, or a float field that holds neither a float nor
-    an int, is a ValueError naming the file and the key; so is any parameter
-    the class's constructor rejects."""
+    """Build the instance a file holds. A missing or unknown key, or an int or
+    float field of the wrong type (see registry.as_scalar), is a ValueError
+    naming the file and the key; so is any parameter the class's
+    constructor rejects."""
     data = _decode(json.loads(Path(path).read_text()))
     kind = data.pop("kind", None) if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in PROBLEMS:
@@ -71,12 +71,8 @@ def load_instance(path):
     for name in names:
         if name not in data:
             raise ValueError(f"{path}: missing key {name!r}")
-        value, scalar = data[name], types[name]
-        if scalar in (int, float):
-            if isinstance(value, bool) or not isinstance(value, (int, scalar)):
-                raise ValueError(f"{path}: key {name!r} must be {scalar.__name__}, "
-                                 f"got {value!r}")
-            data[name] = scalar(value)
+        if types[name] in (int, float):
+            data[name] = as_scalar(data[name], types[name], f"{path}: key {name!r}")
     try:
         return cls(**data)
     except ValueError as exc:

@@ -71,6 +71,12 @@ class IsingProblem:
         if not self.edges:
             raise ValueError(f"edges must be nonempty, got none on a "
                              f"{self.rows}x{self.cols} grid")
+        for edge in self.edges:
+            if len(edge) != 2 or edge[0] == edge[1] or not all(
+                    isinstance(u, (int, np.integer)) and not isinstance(u, bool) and 0 <= u < n
+                    for u in edge):
+                raise ValueError(f"edges must be pairs of distinct node ids in 0..{n - 1}, "
+                                 f"got {list(edge)!r}")
         self.coupling = np.asarray(self.coupling, dtype=np.float64)
         if self.coupling.shape != (self.d,):
             raise ValueError("one coupling per edge required")

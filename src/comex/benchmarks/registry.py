@@ -2,20 +2,20 @@
 
 `make(rng, **params)` draws an instance, `oracle(problem)` wraps it as its
 scaled oracle, `cls` is its dataclass (whose init fields an instance file
-holds), and `params` maps each parameter the maker takes to the type a
-value is coerced to.
+holds), and `params` maps each parameter the maker takes to its type.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Callable, NamedTuple
 
 from .contamination import ContaminationProblem, contamination_make, contamination_oracle
 from .ising import IsingProblem, ising_make, ising_oracle
 from .nqueens import NQueensProblem, nqueens_make, nqueens_oracle
 
-__all__ = ["ProblemKind", "PROBLEMS", "PROBLEM_PARAMS", "make_problem", "kind_of",
-           "problem_oracle"]
+__all__ = ["ProblemKind", "PROBLEMS", "PROBLEM_PARAMS", "as_scalar", "make_problem",
+           "kind_of", "problem_oracle"]
 
 
 class ProblemKind(NamedTuple):
@@ -40,8 +40,19 @@ PROBLEMS = {
 PROBLEM_PARAMS = {p: t for kind in PROBLEMS.values() for p, t in kind.params.items()}
 
 
+def as_scalar(value, scalar: type, where: str):
+    """`value` as an int or a float parameter. An int takes an integer (a
+    numpy one too) and a float takes a real number or an integer; a bool is
+    neither. Any other value is a ValueError beginning with `where`."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if scalar is int else numbers.Real):
+        raise ValueError(f"{where} must be {scalar.__name__}, got {value!r}")
+    return scalar(value)
+
+
 def make_problem(kind: str, params: dict, rng):
-    """Draw an instance of `kind`; a parameter it does not take is an error."""
+    """Draw an instance of `kind`; a parameter it does not take, or one of the
+    wrong type (see as_scalar), is an error."""
     if kind not in PROBLEMS:
         raise ValueError(f"unknown problem {kind!r}")
     types = PROBLEMS[kind].params
@@ -49,7 +60,9 @@ def make_problem(kind: str, params: dict, rng):
         if key not in types:
             raise ValueError(f"problem {kind!r} takes no parameter {key!r} "
                              f"(it takes {', '.join(types)})")
-    return PROBLEMS[kind].make(rng, **{k: types[k](v) for k, v in params.items()})
+    return PROBLEMS[kind].make(rng, **{
+        k: as_scalar(v, types[k], f"problem {kind!r}: parameter {k!r}")
+        for k, v in params.items()})
 
 
 def kind_of(problem) -> str:

@@ -119,8 +119,9 @@ def drive(strategy, oracle, budget: int, noise_rng: np.random.Generator, *,
 
     Before every call but the first, the run stops (truncated) once the
     perf_counter `deadline` or the algorithm-time (ask + tell) `time_budget`
-    is reached. An oracle exception aborts the run and keeps the earlier
-    steps; if the first call fails there is no trace, and a RuntimeError.
+    is reached. An exception from the oracle or from `tell` aborts the run
+    and keeps the earlier steps; if the first step fails there is no trace,
+    and a RuntimeError.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -132,16 +133,17 @@ def drive(strategy, oracle, budget: int, noise_rng: np.random.Generator, *,
         t0 = time.perf_counter()
         x = strategy.ask(step)
         acq_time = time.perf_counter() - t0
+        stage = "oracle call"
         try:
             raw, obs = oracle.observe(x, noise_rng)
+            stage, t1 = "update", time.perf_counter()
+            strategy.tell(x, obs)
         except Exception as exc:  # noqa: BLE001 - partial trace must survive
             error = f"{type(exc).__name__}: {exc}"
             if not rows:
-                raise RuntimeError(f"{name}: the first oracle call failed, "
+                raise RuntimeError(f"{name}: the first {stage} failed, "
                                    f"so the run has no trace ({error})") from exc
             return build_trace(name, seed, rows, oracle, aborted=True, error=error)
-        t1 = time.perf_counter()
-        strategy.tell(x, obs)
         update_time = time.perf_counter() - t1
         algorithm_time += acq_time + update_time
         rows.append({"queries": to_bits(x), "raw_values": raw, "scaled_values": obs,
@@ -174,7 +176,8 @@ class ComexStrategy:
     def tell(self, x: np.ndarray, obs: float) -> None:
         self.model.update(x, obs)
         self.chain = x
-        self.seen.add(x.tobytes())
+        if self.config.dedup:
+            self.seen.add(x.tobytes())
 
 
 # Each algorithm's ask/tell strategy, built from (constraint, config, rng).

@@ -140,6 +140,8 @@ class MonomialSurrogate:
         exactly in the renormalization, so this only guards against overflow.
         The learning-rate statistics are advanced with this step's loss
         quantities, weighted by the pre-update weights normalized to sum 1.
+        They are computed first: an observation so large that they overflow
+        is a ValueError, raised before the weights or the step size change.
         """
         fx = float(fx)
         if not math.isfinite(fx):
@@ -152,15 +154,20 @@ class MonomialSurrogate:
         pre = self.w
         z_plus = (-2.0 * self.sparsity * loss) * psi
         z = np.concatenate([z_plus, -z_plus])
+        w_pre = pre / pre.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_bar = float(w_pre @ z)
+            var_increment = float(w_pre @ (z - z_bar) ** 2)
+        z_range = 4.0 * self.sparsity * abs(loss)
+        if not (math.isfinite(z_range) and math.isfinite(self.lr.v + var_increment)):
+            raise ValueError(f"observation {fx!r} overflows the step-size statistics, "
+                             f"so the surrogate cannot learn from it")
+
         exponents = eta * z
         w = pre * np.exp(exponents - exponents.max())
         w *= self.sparsity / w.sum()
         self.w = w
-
-        w_pre = pre / pre.sum()
-        z_bar = float(w_pre @ z)
-        var_increment = float(w_pre @ (z - z_bar) ** 2)
-        self.lr.advance(4.0 * self.sparsity * abs(loss), var_increment)
+        self.lr.advance(z_range, var_increment)
         return UpdateDiagnostics(loss, eta)
 
     def copy(self) -> "MonomialSurrogate":

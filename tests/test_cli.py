@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from comex.benchmarks import load_instance
+from comex.benchmarks import ising_make, load_instance, save_instance
 from comex.cli import main, parse_seeds
 from comex.results import CSV_HEADER
 
@@ -120,6 +120,28 @@ def test_runtime_error_returns_one(tmp_path, capsys):
                  str(tmp_path / "missing.json"), "--budget", "2"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", [[0, 9], [0, -1], [1, 1], [0, 1, 2]])
+def test_instance_file_with_a_bad_edge_exits_one_naming_it(tmp_path, capsys, edge):
+    path = tmp_path / "ising.json"
+    save_instance(ising_make(np.random.default_rng(8), rows=2, cols=2), path)
+    doc = json.loads(path.read_text())
+    doc["edges"][0] = edge
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--problem", "ising", "--instance-file", str(path), "--algo", "rs",
+                 "--budget", "2"])
+    assert code == 1
+    assert (f"error: {path}: edges must be pairs of distinct node ids in 0..3, got {edge!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag, named", [("--d", "d"), ("--n-paths", "n_paths")])
+def test_contamination_size_below_one_exits_one_naming_it(capsys, flag, named):
+    code = main(["run", "--problem", "contamination", flag, "-1", "--algo", "rs",
+                 "--budget", "2"])
+    assert code == 1
+    assert f"error: {named} must be at least 1, got -1" in capsys.readouterr().err
 
 
 def test_warm_start_flag_is_gone(capsys):

@@ -2,6 +2,7 @@
 instance the same way."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,6 +82,39 @@ def test_non_finite_observation_aborts_with_partial_trace(algorithm):
     trace = harness.drive(strategy, oracle, 10, noise, name=algorithm, seed=0)
     assert trace.aborted and len(trace) == 1
     assert "oracle 'loud' observed inf, which is not finite" in trace.error
+
+
+def test_an_observation_the_surrogate_cannot_learn_from_aborts_and_keeps_the_model():
+    # Finite observations whose third, 1e300, overflows the step-size statistics.
+    oracle = Oracle("huge", Unconstrained(6), lambda x: float(np.sum(x)), Known(-6.0, 6.0),
+                    noise_sigma=1e300)
+    strategy = harness.ComexStrategy(oracle.constraint, ExperimentConfig(),
+                                     np.random.default_rng(0))
+    weights = []
+
+    def standard_normal():
+        weights.append(strategy.model.w.copy())     # what this step's tell starts from
+        return 1.0 if len(weights) == 3 else 0.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = harness.drive(strategy, oracle, 10, SimpleNamespace(standard_normal=standard_normal),
+                              name="comex", seed=0)
+    assert trace.aborted and len(trace) == 2
+    assert "ValueError: observation 1e+300 overflows the step-size statistics" in trace.error
+    assert np.array_equal(strategy.model.w, weights[2])
+    assert strategy.model.lr.t == 2 and math.isfinite(strategy.model.lr.v)
+
+
+def test_an_update_failure_at_the_first_step_raises_one_clear_error():
+    oracle = Oracle("huge", Unconstrained(6), lambda x: float(np.sum(x)), Known(-6.0, 6.0),
+                    noise_sigma=1e300)
+    strategy = harness.ComexStrategy(oracle.constraint, ExperimentConfig(),
+                                     np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="comex: the first update failed, so the run has no "
+                                           "trace .ValueError: observation 1e"):
+        harness.drive(strategy, oracle, 10, SimpleNamespace(standard_normal=lambda: 1.0),
+                      name="comex", seed=0)
 
 
 def test_observe_rejects_non_finite_values():

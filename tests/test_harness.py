@@ -272,6 +272,15 @@ def test_dedup_reanneals_a_repeat_once_from_a_fresh_point():
     assert repeats >= 5
 
 
+def test_only_dedup_records_the_queries_seen():
+    for dedup in (False, True):
+        strategy = ComexStrategy(Unconstrained(3), tiny_config(dedup=dedup, m=1, inner_iters=2),
+                                 np.random.default_rng(0))
+        for step in range(5):
+            strategy.tell(strategy.ask(step), 0.0)
+        assert bool(strategy.seen) is dedup
+
+
 def test_dedup_without_a_repeat_is_the_default_run():
     cfg = tiny_config(problem="contamination", budget=30, problem_params={"d": 21})
     for seed in range(3):

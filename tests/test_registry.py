@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from comex.cli import main
@@ -13,6 +14,27 @@ def test_unknown_problem_param_rejected(problem, params, key):
     config = ExperimentConfig(problem=problem, problem_params=params)
     with pytest.raises(ValueError, match=f"'{key}'"):
         build_problem(config)
+
+
+@pytest.mark.parametrize("problem, params, key, kind", [
+    ("nqueens", {"n": 4.7}, "n", "int"),
+    ("ising", {"rows": 2.9, "cols": 3}, "rows", "int"),
+    ("contamination", {"d": "5"}, "d", "int"),
+    ("contamination", {"d": True}, "d", "int"),
+    ("contamination", {"d": 5, "u": "0.1"}, "u", "float"),
+    ("nqueens", {"n": 4, "noise_sigma": False}, "noise_sigma", "float"),
+])
+def test_problem_param_of_the_wrong_type_rejected(problem, params, key, kind):
+    config = ExperimentConfig(problem=problem, problem_params=params)
+    with pytest.raises(ValueError, match=f"problem '{problem}': parameter '{key}' must be {kind}"):
+        build_problem(config)
+
+
+def test_problem_params_take_numpy_integers_and_integer_floats():
+    problem, _ = build_problem(ExperimentConfig(
+        problem="contamination", problem_params={"d": np.int64(5), "u": 0, "n_paths": np.int32(7)}))
+    assert (problem.d, problem.u, problem.n_paths) == (5, 0.0, 7)
+    assert type(problem.d) is int and type(problem.u) is float
 
 
 def test_cli_unknown_problem_param_exits_one(capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ def test_update_mass_conservation_randomized():
             assert model.mass == pytest.approx(sparsity, rel=1e-9)
             assert np.all(model.w_plus >= 0.0)
             assert np.all(model.w_minus >= 0.0)
+
+
+def test_update_rejects_an_observation_that_overflows_its_statistics():
+    rng = np.random.default_rng(7)
+    model = random_model(rng, n_updates=3, eta=None)
+    w, lr = model.w.copy(), repr(model.lr)
+    x = sample_uniform(Unconstrained(6), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fx in (1e300, -1e300, 1.7e308):
+            with pytest.raises(ValueError, match=re.escape(f"observation {fx!r} overflows")):
+                model.update(x, fx)
+    assert np.array_equal(model.w, w) and repr(model.lr) == lr
 
 
 def test_update_rejects_non_finite_values():
