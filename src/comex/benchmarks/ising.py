@@ -52,6 +52,15 @@ def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _node_pair(edge, n: int) -> tuple[int, int]:
+    """`edge` as a tuple of two distinct node ids below n."""
+    pair = tuple(np.atleast_1d(edge).tolist())
+    if len(pair) != 2 or pair[0] == pair[1] or not all(
+            type(u) is int and 0 <= u < n for u in pair):
+        raise ValueError(f"edges must be pairs of distinct node ids in 0..{n - 1}, got {edge!r}")
+    return pair
+
+
 @dataclass
 class IsingProblem:
     rows: int
@@ -67,16 +76,10 @@ class IsingProblem:
         n = self.n_nodes
         if n > MAX_NODES:
             raise ValueError(f"exact enumeration refused for more than {MAX_NODES} nodes")
-        self.edges = [tuple(e) for e in self.edges]
+        self.edges = [_node_pair(e, n) for e in self.edges]
         if not self.edges:
             raise ValueError(f"edges must be nonempty, got none on a "
                              f"{self.rows}x{self.cols} grid")
-        for edge in self.edges:
-            if len(edge) != 2 or edge[0] == edge[1] or not all(
-                    isinstance(u, (int, np.integer)) and not isinstance(u, bool) and 0 <= u < n
-                    for u in edge):
-                raise ValueError(f"edges must be pairs of distinct node ids in 0..{n - 1}, "
-                                 f"got {list(edge)!r}")
         self.coupling = np.asarray(self.coupling, dtype=np.float64)
         if self.coupling.shape != (self.d,):
             raise ValueError("one coupling per edge required")

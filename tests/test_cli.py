@@ -122,7 +122,7 @@ def test_runtime_error_returns_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edge", [[0, 9], [0, -1], [1, 1], [0, 1, 2]])
+@pytest.mark.parametrize("edge", [[0, 9], [0, -1], [1, 1], [0, 1, 2], [0, 1.5], 5])
 def test_instance_file_with_a_bad_edge_exits_one_naming_it(tmp_path, capsys, edge):
     path = tmp_path / "ising.json"
     save_instance(ising_make(np.random.default_rng(8), rows=2, cols=2), path)

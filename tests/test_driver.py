@@ -84,12 +84,16 @@ def test_non_finite_observation_aborts_with_partial_trace(algorithm):
     assert "oracle 'loud' observed inf, which is not finite" in trace.error
 
 
-def test_an_observation_the_surrogate_cannot_learn_from_aborts_and_keeps_the_model():
-    # Finite observations whose third, 1e300, overflows the step-size statistics.
+def comex_on_loud_noise():
+    """A COMEX strategy and an oracle whose observation is 1e300 at a unit noise draw."""
     oracle = Oracle("huge", Unconstrained(6), lambda x: float(np.sum(x)), Known(-6.0, 6.0),
                     noise_sigma=1e300)
-    strategy = harness.ComexStrategy(oracle.constraint, ExperimentConfig(),
-                                     np.random.default_rng(0))
+    return oracle, harness.ComexStrategy(oracle.constraint, ExperimentConfig(),
+                                         np.random.default_rng(0))
+
+
+def test_an_observation_the_surrogate_cannot_learn_from_aborts_and_keeps_the_model():
+    oracle, strategy = comex_on_loud_noise()
     weights = []
 
     def standard_normal():
@@ -98,7 +102,8 @@ def test_an_observation_the_surrogate_cannot_learn_from_aborts_and_keeps_the_mod
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trace = harness.drive(strategy, oracle, 10, SimpleNamespace(standard_normal=standard_normal),
+        trace = harness.drive(strategy, oracle, 10,
+                              SimpleNamespace(standard_normal=standard_normal),
                               name="comex", seed=0)
     assert trace.aborted and len(trace) == 2
     assert "ValueError: observation 1e+300 overflows the step-size statistics" in trace.error
@@ -107,10 +112,7 @@ def test_an_observation_the_surrogate_cannot_learn_from_aborts_and_keeps_the_mod
 
 
 def test_an_update_failure_at_the_first_step_raises_one_clear_error():
-    oracle = Oracle("huge", Unconstrained(6), lambda x: float(np.sum(x)), Known(-6.0, 6.0),
-                    noise_sigma=1e300)
-    strategy = harness.ComexStrategy(oracle.constraint, ExperimentConfig(),
-                                     np.random.default_rng(0))
+    oracle, strategy = comex_on_loud_noise()
     with pytest.raises(RuntimeError, match="comex: the first update failed, so the run has no "
                                            "trace .ValueError: observation 1e"):
         harness.drive(strategy, oracle, 10, SimpleNamespace(standard_normal=lambda: 1.0),

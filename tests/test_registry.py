@@ -9,24 +9,17 @@ from comex.harness import ExperimentConfig, build_problem
     ("ising", {"rows": 3, "cols": 3, "d": 8}, "d"),
     ("nqueens", {"n": 4, "rows": 3}, "rows"),
     ("contamination", {"d": 8, "n": 4}, "n"),
+    ("nqueens", {"n": 4.7}, "n"),
+    ("ising", {"rows": 2.9, "cols": 3}, "rows"),
+    ("contamination", {"d": "5"}, "d"),
+    ("contamination", {"d": True}, "d"),
+    ("contamination", {"d": 5, "u": "0.1"}, "u"),
+    ("nqueens", {"n": 4, "noise_sigma": False}, "noise_sigma"),
 ])
 def test_unknown_problem_param_rejected(problem, params, key):
+    """A parameter the problem does not take, or one of the wrong type."""
     config = ExperimentConfig(problem=problem, problem_params=params)
-    with pytest.raises(ValueError, match=f"'{key}'"):
-        build_problem(config)
-
-
-@pytest.mark.parametrize("problem, params, key, kind", [
-    ("nqueens", {"n": 4.7}, "n", "int"),
-    ("ising", {"rows": 2.9, "cols": 3}, "rows", "int"),
-    ("contamination", {"d": "5"}, "d", "int"),
-    ("contamination", {"d": True}, "d", "int"),
-    ("contamination", {"d": 5, "u": "0.1"}, "u", "float"),
-    ("nqueens", {"n": 4, "noise_sigma": False}, "noise_sigma", "float"),
-])
-def test_problem_param_of_the_wrong_type_rejected(problem, params, key, kind):
-    config = ExperimentConfig(problem=problem, problem_params=params)
-    with pytest.raises(ValueError, match=f"problem '{problem}': parameter '{key}' must be {kind}"):
+    with pytest.raises(ValueError, match=f"problem '{problem}'.*parameter '{key}'"):
         build_problem(config)
 
 
