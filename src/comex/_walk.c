@@ -1,47 +1,115 @@
-/* Native acquisition walk: the inner loops of comex.acquisition.LocalField.
+/* Native comex step on one model's workspace (comex.walk_kernel.Workspace):
+   surrogate_update is MonomialSurrogate._update_reference, field_build is
+   LocalField._build_reference, and flip_walk and swap_walk are
+   LocalField._flip_walk and _swap_walk. Each does the floating-point
+   operations of its Python reference in the same order, every sum one term
+   at a time from 0.0 in index order, so with -ffp-contract=off (no fused
+   multiply-add) and without -ffast-math (no reassociation) the results are
+   bit-identical to it.
 
-   flip_walk and swap_walk consume the draws LocalField.walk makes (the moves,
-   then the acceptance limits -T log1p(-u)), update the point x, the field h,
-   the degree >= 3 contributions c and their per-coordinate sums g in place,
-   and return the number of accepted proposals. Every floating-point
-   operation is the one the Python walk does, in the same order, so with
-   -ffp-contract=off (no fused multiply-add) and without -ffast-math the
-   results are bit-identical to it.
+   The walks consume the draws LocalField.walk makes (the moves, then the
+   acceptance limits -T log1p(-u)), update the point x, the field h, the
+   degree >= 3 contributions c and their per-coordinate sums g in place,
+   and return the number of accepted proposals. The basis tables are those
+   of comex.basis.MonomialBasis; terms are padded with the index d, which
+   x_aug maps to 1.0 and g to a slot that is never read. */
 
-   The degree >= 3 terms are given as CSR tables: the terms containing
-   coordinate k are high_index[high_ptr[k] .. high_ptr[k + 1]), in ascending
-   order, and term t has the coordinates high_coords[t * width ..], padded
-   with the index d; g has d + 1 slots, the last one for the padding, never
-   read. n_high = 0 means there are none (m <= 2). */
-
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
-    int64_t width;
-    double *g, *c;
-    const int64_t *ptr, *index, *coords;
-} High;
+    int64_t d, p, m, n_pair, n_high;
+    double *w, *psi, *x_aug, *stats, *x, *A, *h, *c, *g;
+    const int64_t *padded, *linear_ids, *pair_ids, *pair_coords, *high_ids, *high_coords,
+        *high_ptr, *high_index;
+} Workspace;
 
-/* h -= sign * 2 A[k], one row of the symmetric coupling matrix. */
-static void row_update(double *h, const double *A, int64_t d, int64_t k, double sign)
+/* Product of x_aug over the m padded coordinates at coords. */
+static double monomial(const double *x_aug, const int64_t *coords, int64_t m)
 {
-    const double *row = A + k * d;
-    if (sign > 0.0)
-        for (int64_t l = 0; l < d; l++) h[l] -= 2.0 * row[l];
-    else
-        for (int64_t l = 0; l < d; l++) h[l] += 2.0 * row[l];
+    double value = 1.0;
+    for (int64_t k = 0; k < m; k++) value *= x_aug[coords[k]];
+    return value;
+}
+
+/* The signed coefficient w_plus - w_minus of term t. */
+static double coefficient(const Workspace *ws, int64_t t) { return ws->w[t] - ws->w[ws->p + t]; }
+
+/* z_i = k psi_i for a plus weight, -(k psi_i) for a minus weight. */
+static double loss_quantity(const Workspace *ws, int64_t i, double k)
+{ return i < ws->p ? k * ws->psi[i] : -(k * ws->psi[i - ws->p]); }
+
+/* One observation step on the weights w: the features psi at x_aug, the
+   prediction, the step-size statistics, then every weight times 1 or r and
+   the renormalisation to mass `sparsity`. stats receives (loss,
+   var_increment, z_range). Returns 0 when the weights were updated; 1 when
+   the statistics overflow and 2 when the reweighted mass is too small to
+   renormalise, in which cases nothing but psi and stats was written. */
+int64_t surrogate_update(const Workspace *ws, double fx, double eta, double sparsity, double v)
+{
+    const int64_t p = ws->p, n = 2 * p;
+    double *w = ws->w;
+    double fhat = 0.0;
+    for (int64_t t = 0; t < p; t++) {
+        ws->psi[t] = monomial(ws->x_aug, ws->padded + t * ws->m, ws->m);
+        fhat += coefficient(ws, t) * ws->psi[t];
+    }
+    const double loss = fhat - fx, k = -2.0 * sparsity * loss;
+    double total = 0.0, z_bar = 0.0, var = 0.0;
+    for (int64_t i = 0; i < n; i++) total += w[i];
+    for (int64_t i = 0; i < n; i++) z_bar += (w[i] / total) * loss_quantity(ws, i, k);
+    for (int64_t i = 0; i < n; i++) {
+        const double dz = loss_quantity(ws, i, k) - z_bar;
+        var += (w[i] / total) * (dz * dz);
+    }
+    const double z_range = 4.0 * sparsity * fabs(loss);
+    ws->stats[0] = loss, ws->stats[1] = var, ws->stats[2] = z_range;
+    if (!(isfinite(z_range) && isfinite(v + var))) return 1;
+
+    const double r = exp(-2.0 * fabs(eta * k));
+    total = 0.0;
+    for (int64_t i = 0; i < n; i++) total += loss_quantity(ws, i, k) < 0.0 ? w[i] * r : w[i];
+    const double scale = sparsity / total;
+    if (!isfinite(scale)) return 2;
+    for (int64_t i = 0; i < n; i++) w[i] = (loss_quantity(ws, i, k) < 0.0 ? w[i] * r : w[i]) * scale;
+    return 0;
+}
+
+/* A, h, c and g at the point x for the coefficients w_plus - w_minus. */
+void field_build(const Workspace *ws)
+{
+    const int64_t d = ws->d, m = ws->m;
+    memcpy(ws->x_aug, ws->x, d * sizeof(double));
+    ws->x_aug[d] = 1.0;
+    memset(ws->A, 0, d * d * sizeof(double));
+    for (int64_t t = 0; t < ws->n_pair; t++) {
+        const int64_t i = ws->pair_coords[2 * t], j = ws->pair_coords[2 * t + 1];
+        ws->A[i * d + j] = ws->A[j * d + i] = coefficient(ws, ws->pair_ids[t]);
+    }
+    for (int64_t i = 0; i < d; i++) {
+        double s = 0.0;
+        for (int64_t l = 0; l < d; l++) s += ws->A[i * d + l] * ws->x[l];
+        ws->h[i] = coefficient(ws, ws->linear_ids[i]) + s;
+    }
+    memset(ws->g, 0, (d + 1) * sizeof(double));
+    for (int64_t t = 0; t < ws->n_high; t++) {
+        const int64_t *coords = ws->high_coords + t * m;
+        ws->c[t] = coefficient(ws, ws->high_ids[t]) * monomial(ws->x_aug, coords, m);
+        for (int64_t k = 0; k < m; k++) ws->g[coords[k]] += ws->c[t];
+    }
 }
 
 /* Sum of c_I over the degree >= 3 terms containing both i and j, in term
    order from 0.0, as LocalField._pair_sum. */
-static double pair_sum(const High *hi, int64_t i, int64_t j)
+static double pair_sum(const Workspace *ws, int64_t i, int64_t j)
 {
     double s = 0.0;
-    for (int64_t p = hi->ptr[i]; p < hi->ptr[i + 1]; p++) {
-        const int64_t t = hi->index[p];
-        for (int64_t w = 0; w < hi->width; w++)
-            if (hi->coords[t * hi->width + w] == j) {
-                s += hi->c[t];
+    for (int64_t q = ws->high_ptr[i]; q < ws->high_ptr[i + 1]; q++) {
+        const int64_t t = ws->high_index[q];
+        for (int64_t k = 0; k < ws->m; k++)
+            if (ws->high_coords[t * ws->m + k] == j) {
+                s += ws->c[t];
                 break;
             }
     }
@@ -51,61 +119,59 @@ static double pair_sum(const High *hi, int64_t i, int64_t j)
 /* Negate c_I for the terms containing k, one term at a time in term order,
    and subtract 2 * (old c_I) from g at each of the term's coordinates, as
    LocalField._negate_high. */
-static void negate_high(const High *hi, int64_t k)
+static void negate_high(const Workspace *ws, int64_t k)
 {
-    for (int64_t p = hi->ptr[k]; p < hi->ptr[k + 1]; p++) {
-        const int64_t t = hi->index[p];
-        const double old = hi->c[t];
-        hi->c[t] = -old;
-        for (int64_t w = 0; w < hi->width; w++) hi->g[hi->coords[t * hi->width + w]] -= 2.0 * old;
+    for (int64_t q = ws->high_ptr[k]; q < ws->high_ptr[k + 1]; q++) {
+        const int64_t t = ws->high_index[q];
+        const double old = ws->c[t];
+        ws->c[t] = -old;
+        for (int64_t l = 0; l < ws->m; l++) ws->g[ws->high_coords[t * ws->m + l]] -= 2.0 * old;
     }
 }
 
-int64_t flip_walk(int64_t d, int64_t n, const int64_t *flips, const double *limits,
-                  double *x, double *h, const double *A,
-                  int64_t n_high, int64_t width, double *g, double *c,
-                  const int64_t *ptr, const int64_t *index, const int64_t *coords)
+int64_t flip_walk(const Workspace *ws, int64_t n, const int64_t *flips, const double *limits)
 {
-    const High hi = {width, g, c, ptr, index, coords};
+    const int64_t d = ws->d;
+    double *x = ws->x, *h = ws->h;
     int64_t accepted = 0;
     for (int64_t t = 0; t < n; t++) {
         const int64_t i = flips[t];
         const double xi = x[i];
         double delta = -2.0 * xi * h[i];
-        if (n_high) delta -= 2.0 * g[i];
+        if (ws->n_high) delta -= 2.0 * ws->g[i];
         if (delta <= limits[t]) {
-            row_update(h, A, d, i, xi);
+            const double *row = ws->A + i * d;
+            for (int64_t l = 0; l < d; l++) h[l] -= 2.0 * xi * row[l];
             x[i] = -xi;
-            if (n_high) negate_high(&hi, i);
+            if (ws->n_high) negate_high(ws, i);
             accepted++;
         }
     }
     return accepted;
 }
 
-int64_t swap_walk(int64_t d, int64_t n, int64_t *plus, int64_t *minus,
-                  const int64_t *take_plus, const int64_t *take_minus, const double *limits,
-                  double *x, double *h, const double *A,
-                  int64_t n_high, int64_t width, double *g, double *c,
-                  const int64_t *ptr, const int64_t *index, const int64_t *coords)
+int64_t swap_walk(const Workspace *ws, int64_t n, int64_t *plus, int64_t *minus,
+                  const int64_t *take_plus, const int64_t *take_minus, const double *limits)
 {
-    const High hi = {width, g, c, ptr, index, coords};
+    const int64_t d = ws->d;
+    const double *A = ws->A;
+    double *x = ws->x, *h = ws->h;
     int64_t accepted = 0;
     for (int64_t t = 0; t < n; t++) {
         const int64_t a = take_plus[t], b = take_minus[t];
         const int64_t i = plus[a], j = minus[b];   /* x_i = +1, x_j = -1 */
         double delta = 2.0 * (h[j] - h[i]) - 4.0 * A[i * d + j];
-        if (n_high) delta += 4.0 * pair_sum(&hi, i, j) - 2.0 * (g[i] + g[j]);
+        if (ws->n_high) delta += 4.0 * pair_sum(ws, i, j) - 2.0 * (ws->g[i] + ws->g[j]);
         if (delta <= limits[t]) {
             plus[a] = j;
             minus[b] = i;
-            row_update(h, A, d, i, 1.0);
-            row_update(h, A, d, j, -1.0);
+            const double *row_i = A + i * d, *row_j = A + j * d;
+            for (int64_t l = 0; l < d; l++) h[l] = (h[l] - 2.0 * row_i[l]) + 2.0 * row_j[l];
             x[i] = -1.0;
             x[j] = 1.0;
-            if (n_high) {
-                negate_high(&hi, i);
-                negate_high(&hi, j);
+            if (ws->n_high) {
+                negate_high(ws, i);
+                negate_high(ws, j);
             }
             accepted++;
         }

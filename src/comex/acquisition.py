@@ -9,7 +9,7 @@ import numpy as np
 
 from . import walk_kernel
 from .domain import ConstraintSet, SumConstrained, contains, sample_uniform
-from .surrogate import MonomialSurrogate
+from .surrogate import MonomialSurrogate, ordered_sum
 
 __all__ = [
     "AnnealSchedule",
@@ -61,27 +61,37 @@ class LocalField:
     term for the degree >= 3 terms containing k, negating c_I and taking
     2 * (old c_I) off g at the term's coordinates; g[d] takes the padding
     index of basis.high_coords and is never read. For m <= 2 there are none.
+
+    The point and the field are the model's workspace buffers
+    (comex.walk_kernel.Workspace), so the next LocalField built from the
+    same model overwrites them; `walk` returns a copy of its point.
     """
 
     def __init__(self, model: MonomialSurrogate, x):
-        basis = model.basis
-        a = model.coefficients
-        self.basis = basis
-        self.x = np.array(x, dtype=np.float64)
-        if self.x.shape != (basis.d,):
-            raise ValueError(f"point has shape {self.x.shape}, basis expects ({basis.d},)")
-        rows, cols = basis.pair_coords.T
-        A = np.zeros((basis.d, basis.d))
-        A[rows, cols] = a[basis.pair_ids]
-        A += A.T
-        self._A = A
-        self._h = a[basis.linear_ids] + A @ self.x
-        x_aug = np.append(self.x, 1.0)
-        self._c = a[basis.high_ids] * np.prod(x_aug[basis.high_coords], axis=1)
-        self._g = np.bincount(basis.high_coords.ravel(), minlength=basis.d + 1,
-                              weights=np.repeat(self._c, basis.high_coords.shape[1]))
+        basis, ws = model.basis, model.workspace()
+        ws.x[:] = basis.point(x)
+        self.basis, self._ws = basis, ws
+        self.x, self._A, self._h, self._c, self._g = ws.x, ws.A, ws.h, ws.c, ws.g
+        library = walk_kernel.load()
+        if library is not None:
+            library.field_build(ws.address)
+        else:
+            self._build_reference(model.coefficients)
         self.accepted = 0
         self.plus = self.minus = None
+
+    def _build_reference(self, a: np.ndarray) -> None:
+        """The field for the coefficients a in numpy: the reference of the
+        kernel's field_build, every sum taken in index order."""
+        basis = self.basis
+        rows, cols = basis.pair_coords.T
+        self._A.fill(0.0)
+        self._A[rows, cols] = self._A[cols, rows] = a[basis.pair_ids]
+        self._h[:] = a[basis.linear_ids] + ordered_sum(self._A * self.x, axis=1)
+        x_aug = np.append(self.x, 1.0)
+        self._c[:] = a[basis.high_ids] * np.prod(x_aug[basis.high_coords], axis=1)
+        self._g[:] = np.bincount(basis.high_coords.ravel(), minlength=basis.d + 1,
+                                 weights=np.repeat(self._c, basis.m))
 
     def _pair_sum(self, i: int, j: int) -> float:
         """sum of c_I over the degree >= 3 terms I containing i and j, added
@@ -136,23 +146,15 @@ class LocalField:
             moves = (rng.integers(self.basis.d, size=n_iters),)
         limits = temperature * -np.log1p(-rng.random(n_iters))
         library = walk_kernel.load()
-        if library is not None:
-            self.accepted = self._native_walk(library, moves, limits)
+        if library is not None:     # the draw arrays are contiguous; the rest is bound
+            run = library.flip_walk if len(moves) == 1 else library.swap_walk
+            self.accepted = run(self._ws.address, n_iters,
+                                *(a.ctypes.data for a in (*moves, limits)))
         elif len(moves) == 1:
             self.accepted = self._flip_walk(*moves, limits)
         else:
             self.accepted = self._swap_walk(*moves, limits)
         return self.x.copy()
-
-    def _native_walk(self, library, moves: tuple, limits: np.ndarray) -> int:
-        """The walk in `_walk.c`; every array is contiguous and updated in place."""
-        basis = self.basis
-        run = library.flip_walk if len(moves) == 1 else library.swap_walk
-        return run(basis.d, limits.size,
-                   *(a.ctypes.data for a in (*moves, limits, self.x, self._h, self._A)),
-                   self._c.size, basis.m,
-                   *(a.ctypes.data for a in (self._g, self._c, basis.high_ptr,
-                                             basis.high_index, basis.high_coords)))
 
     def _flip_walk(self, flips: np.ndarray, limits: np.ndarray) -> int:
         """Single-coordinate flips in Python: the reference of flip_walk."""
@@ -168,10 +170,7 @@ class LocalField:
             if high:
                 delta -= 2.0 * g[i]
             if delta <= limit:
-                if xi > 0.0:
-                    h -= rows[i]
-                else:
-                    h += rows[i]
+                h -= xi * rows[i]
                 x[i] = -xi
                 if high:
                     self._negate_high(i)

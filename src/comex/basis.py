@@ -21,7 +21,8 @@ class MonomialBasis:
     """All index sets I with |I| <= m over d coordinates, in a fixed order.
 
     Terms are sorted by ascending degree, then lexicographically; term 0 is
-    the constant monomial (empty set). The basis also stores the index
+    the constant monomial (empty set). `padded` holds each term's
+    coordinates padded with the index d. The basis also stores the index
     tables the acquisition walk's local field reads (see
     comex.acquisition.LocalField): the positions of the degree-1 terms in
     coordinate order, the positions and coordinate pairs of the degree-2
@@ -50,7 +51,7 @@ class MonomialBasis:
         padded = np.full((self.p, m), d, dtype=np.int64)
         for row, term in zip(padded, self.terms):
             row[: len(term)] = term
-        self._padded = padded
+        self.padded = padded
 
         degree = np.array([len(term) for term in self.terms])
         self.linear_ids = np.flatnonzero(degree == 1)
@@ -73,15 +74,16 @@ class MonomialBasis:
     def __repr__(self):
         return f"MonomialBasis(d={self.d}, m={self.m}, p={self.p})"
 
-    def _augment(self, x) -> np.ndarray:
+    def point(self, x) -> np.ndarray:
+        """x as a float64 array; a ValueError unless it has shape (d,)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.d,):
             raise ValueError(f"point has shape {x.shape}, basis expects ({self.d},)")
-        return np.append(x, 1.0)
+        return x
 
     def features(self, x) -> np.ndarray:
         """Vector of all p monomial values at x (entries +/-1)."""
-        return np.prod(self._augment(x)[self._padded], axis=1)
+        return np.prod(np.append(self.point(x), 1.0)[self.padded], axis=1)
 
 
 @functools.lru_cache(maxsize=8)

@@ -80,9 +80,16 @@ class IsingProblem:
         if not self.edges:
             raise ValueError(f"edges must be nonempty, got none on a "
                              f"{self.rows}x{self.cols} grid")
+        pairs = [frozenset(edge) for edge in self.edges]
+        for k, edge in enumerate(self.edges):
+            if pairs[k] in pairs[:k]:
+                raise ValueError(f"edges must be distinct in either orientation, got {edge} twice")
         self.coupling = np.asarray(self.coupling, dtype=np.float64)
         if self.coupling.shape != (self.d,):
             raise ValueError("one coupling per edge required")
+        for weight, edge in zip(self.coupling.tolist(), self.edges):
+            if not 0 < weight < math.inf:
+                raise ValueError(f"coupling must be positive and finite, got {weight!r} on {edge}")
         # Spins of the states with node 0 = +1, node n-1 the lowest code bit.
         codes = np.arange(2 ** (n - 1))
         spins = [np.ones(codes.size)] + [

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import walk_kernel
 from .basis import MonomialBasis
 
 __all__ = [
@@ -31,10 +32,18 @@ __all__ = [
     "LearningRateSchedule",
     "UpdateDiagnostics",
     "MonomialSurrogate",
+    "ordered_sum",
 ]
 
 # Constant in the anytime step-size schedule: sqrt(2(sqrt(2)-1)/(e-2)).
 ADAPTIVE_C = math.sqrt(2.0 * (math.sqrt(2.0) - 1.0) / (math.e - 2.0))
+
+
+def ordered_sum(values: np.ndarray, axis: int = -1):
+    """Sum along `axis` one term at a time from 0.0 in index order, as the
+    native kernel does (ndarray.sum adds pairwise). + 0.0 turns cumsum's
+    -0.0 for all -0.0 terms into the +0.0 of a sum started at 0.0."""
+    return np.cumsum(values, axis=axis)[..., -1] + 0.0
 
 
 def _dyadic_ceil(r: float) -> float:
@@ -110,6 +119,13 @@ class MonomialSurrogate:
         self.w = np.full(2 * basis.p, 1.0 / (2 * basis.p))
         self.lr = LearningRateSchedule(learning_rate)
 
+    def workspace(self) -> walk_kernel.Workspace:
+        """The kernel buffers bound to w, which update changes in place; made
+        on first use and again when w is replaced (copy, load)."""
+        if getattr(self, "_workspace", None) is None or self._workspace.w is not self.w:
+            self._workspace = walk_kernel.Workspace(self.basis, self.w)
+        return self._workspace
+
     @property
     def w_plus(self) -> np.ndarray:
         """The plus weights, a view of the first half of w."""
@@ -130,45 +146,66 @@ class MonomialSurrogate:
         return float(self.w.sum())
 
     def predict(self, x) -> float:
-        """Surrogate value at x; always within +/- total weight mass."""
-        return float(self.coefficients @ self.basis.features(x))
+        """Surrogate value at x, summed as update sums it; always within
+        +/- total weight mass."""
+        return float(ordered_sum(self.coefficients * self.basis.features(x)))
 
     def update(self, x, fx: float) -> UpdateDiagnostics:
         """One observation step: reweight all experts and renormalize.
 
-        Exponents are max-shifted before exponentiation; the shift cancels
-        exactly in the renormalization, so this only guards against overflow.
-        The learning-rate statistics are advanced with this step's loss
-        quantities, weighted by the pre-update weights normalized to sum 1.
-        They are computed first: an observation so large that they overflow
-        is a ValueError, raised before the weights or the step size change.
+        With loss = predict(x) - fx and k = -2 * sparsity * loss, the loss
+        quantities are z_i = k psi_i(x) for the plus weights and -z_i for
+        the minus weights, all +/-k, so each weight's max-shifted factor
+        exp(eta * z_i - eta |k|) is 1 or r = exp(-2 |eta k|). The
+        learning-rate statistics are advanced with the z_i, weighted by the
+        pre-update weights normalized to sum 1. They are computed first: an
+        observation whose statistics overflow, or one that leaves no mass to
+        renormalize, is a ValueError, raised before the weights or the step
+        size change. The arithmetic runs in the native kernel
+        (comex.walk_kernel) or in `_update_reference`, bit for bit alike.
         """
         fx = float(fx)
         if not math.isfinite(fx):
             raise ValueError("oracle value must be finite")
-        psi = self.basis.features(x)
-        fhat = float(self.coefficients @ psi)
-        loss = fhat - fx
+        ws = self.workspace()
+        ws.x_aug[:-1] = self.basis.point(x)
         eta = self.lr.current(self.basis.p, self.sparsity)
-
-        pre = self.w
-        z_plus = (-2.0 * self.sparsity * loss) * psi
-        z = np.concatenate([z_plus, -z_plus])
-        w_pre = pre / pre.sum()
-        with np.errstate(over="ignore", invalid="ignore"):
-            z_bar = float(w_pre @ z)
-            var_increment = float(w_pre @ (z - z_bar) ** 2)
-        z_range = 4.0 * self.sparsity * abs(loss)
-        if not (math.isfinite(z_range) and math.isfinite(self.lr.v + var_increment)):
-            raise ValueError(f"observation {fx!r} overflows the step-size statistics, "
-                             f"so the surrogate cannot learn from it")
-
-        exponents = eta * z
-        w = pre * np.exp(exponents - exponents.max())
-        w *= self.sparsity / w.sum()
-        self.w = w
+        library = walk_kernel.load()
+        if library is not None:
+            status = library.surrogate_update(ws.address, fx, eta, self.sparsity, self.lr.v)
+        else:
+            status = self._update_reference(ws, fx, eta)
+        if status:
+            reason = ("overflows the step-size statistics" if status == 1 else
+                      f"leaves no weight to renormalize at step size {eta!r}")
+            raise ValueError(f"observation {fx!r} {reason}, so the surrogate cannot learn from it")
+        loss, var_increment, z_range = ws.stats.tolist()
         self.lr.advance(z_range, var_increment)
         return UpdateDiagnostics(loss, eta)
+
+    def _update_reference(self, ws: walk_kernel.Workspace, fx: float, eta: float) -> int:
+        """update's arithmetic in numpy, the reference of the kernel's
+        surrogate_update, with its status (0 updated, 1 overflow, 2 no mass)."""
+        p, w = self.basis.p, self.w
+        ws.psi[:] = np.prod(ws.x_aug[self.basis.padded], axis=1)
+        loss = float(ordered_sum((w[:p] - w[p:]) * ws.psi)) - fx
+        k = -2.0 * self.sparsity * loss
+        z = np.concatenate([k * ws.psi, -(k * ws.psi)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_pre = w / ordered_sum(w)
+            z_bar = ordered_sum(w_pre * z)
+            var_increment = float(ordered_sum(w_pre * (z - z_bar) ** 2))
+        z_range = 4.0 * self.sparsity * abs(loss)
+        ws.stats[:] = loss, var_increment, z_range
+        if not (math.isfinite(z_range) and math.isfinite(self.lr.v + var_increment)):
+            return 1
+        reweighted = np.where(z < 0.0, w * math.exp(-2.0 * abs(eta * k)), w)
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = self.sparsity / ordered_sum(reweighted)
+        if not math.isfinite(scale):
+            return 2
+        w[:] = reweighted * scale
+        return 0
 
     def copy(self) -> "MonomialSurrogate":
         out = MonomialSurrogate.__new__(MonomialSurrogate)

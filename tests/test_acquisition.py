@@ -91,7 +91,7 @@ def test_walked_field_equals_a_fresh_field_at_its_point(d, m, constrained, seed)
     for _ in range(3):
         field.walk(constraint, temperature, int(rng.integers(1, 60)), rng)
         assert contains(constraint, field.x)
-        fresh = LocalField(model, field.x)
+        fresh = LocalField(model.copy(), field.x)     # its own workspace, not field's
         for name in ("_h", "_g", "_c"):
             assert np.abs(getattr(field, name) - getattr(fresh, name)).max(initial=0.0) <= 1e-12
 
@@ -157,6 +157,33 @@ def test_native_walk_matches_python_walk(native_walk, monkeypatch, d, m, constra
             field.walk(constraint, walk_temperature, n_iters, walk_rng)
         states.append(walk_state(field, walk_rng))
     assert states[0] == states[1]
+
+
+@given(*walk_cases)
+@settings(max_examples=120, **WITH_FIXTURE)
+def test_native_field_build_matches_the_reference(native_walk, monkeypatch, d, m, constrained,
+                                                  seed):
+    _, model, constraint, _ = walk_case(d, m, constrained, seed)
+    x = sample_uniform(constraint, np.random.default_rng(seed))
+    fields = []
+    for library in (native_walk, None):
+        monkeypatch.setattr(walk_kernel, "load", lambda library=library: library)
+        field = LocalField(model, x)
+        fields.append([a.tobytes() for a in (field.x, field._A, field._h, field._c, field._g)])
+    assert fields[0] == fields[1]
+
+
+@pytest.mark.parametrize("walk_path", ["native_walk", "python_walk"])
+def test_a_second_field_from_one_model_leaves_the_first_point(request, walk_path):
+    request.getfixturevalue(walk_path)
+    rng, model, constraint, temperature = walk_case(8, 3, True, 4)
+    first = LocalField(model, sample_uniform(constraint, rng))
+    point = first.walk(constraint, temperature, 60, rng)
+    kept = point.copy()
+    second = LocalField(model, sample_uniform(constraint, rng))
+    second.walk(constraint, temperature, 60, rng)
+    assert np.array_equal(point, kept)
+    assert second.x is first.x          # the two share the model's workspace
 
 
 def test_walk_counts_accepted_proposals():

@@ -23,6 +23,8 @@ from comex.benchmarks import (
     save_instance,
     solution_bits,
 )
+from comex.benchmarks import ising as ising_module
+from comex.benchmarks.registry import make_problem
 from comex.domain import SumConstrained, Unconstrained, from_bits, sample_uniform
 
 
@@ -76,9 +78,9 @@ def test_all_keep_is_pure_regularization():
 
 
 def test_zero_coupling_limit():
-    edges = grid_edges(3, 3)
+    edges = grid_edges(3, 3)     # couplings must be positive, so the limit is taken at 1e-300
     prob = IsingProblem(rows=3, cols=3, edges=edges,
-                        coupling=np.zeros(len(edges)), lambda_reg=0.01)
+                        coupling=np.full(len(edges), 1e-300), lambda_reg=0.01)
     assert prob.log_z_p == pytest.approx(9 * math.log(2.0), rel=1e-12)
     assert np.allclose(prob.pair_expectations, 0.0, atol=1e-12)
     assert prob.evaluate_bits(np.zeros(12)) == pytest.approx(0.0, abs=1e-9)
@@ -353,6 +355,47 @@ def test_instance_float_field_takes_an_integer(tmp_path):
 def test_contamination_rejects_degenerate_parameters(params, named):
     with pytest.raises(ValueError, match=f"^{named} must be"):
         contamination_make(np.random.default_rng(0), **{"d": 5, **params})
+
+
+def repeat_first_edge(doc, reverse):
+    doc["edges"].append(doc["edges"][0][::-1] if reverse else doc["edges"][0])
+    doc["coupling"].append(doc["coupling"][0])
+
+
+def set_coupling(doc, value):
+    doc["coupling"][1] = {"hex": value.hex()}
+
+
+BAD_ISING_EDITS = [
+    (lambda doc: repeat_first_edge(doc, False), "edges must be distinct"),
+    (lambda doc: repeat_first_edge(doc, True), "edges must be distinct"),
+    (lambda doc: set_coupling(doc, 0.0), "coupling must be positive and finite, got 0.0"),
+    (lambda doc: set_coupling(doc, -1.0), "coupling must be positive and finite, got -1.0"),
+    (lambda doc: set_coupling(doc, math.nan), "coupling must be positive and finite, got nan"),
+    (lambda doc: set_coupling(doc, math.inf), "coupling must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("edit, named", BAD_ISING_EDITS)
+def test_ising_instance_file_with_a_repeated_edge_or_bad_coupling_names_it(tmp_path, edit,
+                                                                            named):
+    path = tmp_path / "ising.json"
+    save_instance(ising_make(np.random.default_rng(8), rows=2, cols=2), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(named)}"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("patch, named", [
+    (("grid_edges", lambda rows, cols: [(0, 1), (1, 0)]), "edges must be distinct"),
+    (("COUPLING_RANGE", (-1.0, -0.5)), "coupling must be positive and finite"),
+])
+def test_make_problem_rejects_a_repeated_edge_or_bad_coupling(monkeypatch, patch, named):
+    monkeypatch.setattr(ising_module, *patch)
+    with pytest.raises(ValueError, match=f"^{named}"):
+        make_problem("ising", {"rows": 2, "cols": 2}, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (0, 3)])

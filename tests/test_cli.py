@@ -136,6 +136,23 @@ def test_instance_file_with_a_bad_edge_exits_one_naming_it(tmp_path, capsys, edg
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("edges", lambda doc: doc["edges"].append(doc["edges"][0][::-1])),
+    ("coupling", lambda doc: doc["coupling"].__setitem__(0, {"hex": (-1.0).hex()})),
+])
+def test_instance_file_with_a_repeated_edge_or_bad_coupling_exits_one(tmp_path, capsys,
+                                                                      field, edit):
+    path = tmp_path / "ising.json"
+    save_instance(ising_make(np.random.default_rng(8), rows=2, cols=2), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--problem", "ising", "--instance-file", str(path), "--algo", "rs",
+                 "--budget", "2"])
+    assert code == 1
+    assert f"error: {path}: {field} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, named", [("--d", "d"), ("--n-paths", "n_paths")])
 def test_contamination_size_below_one_exits_one_naming_it(capsys, flag, named):
     code = main(["run", "--problem", "contamination", flag, "-1", "--algo", "rs",

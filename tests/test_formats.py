@@ -35,7 +35,7 @@ RUNS = {
 }
 
 # Checkpoints after a few updates, under the adaptive and a fixed step size.
-CHECKPOINTS = {None: "1ab626df8a6459f6", 0.05: "60c19ce2554f4517"}
+CHECKPOINTS = {None: "b6f2b3224ca45647", 0.05: "0a595e5c615925c8"}
 
 
 def _digest(path) -> str:

@@ -162,7 +162,7 @@ def ising_cases(draw):
     rows, cols, edges = draw(st.sampled_from(TOPOLOGIES))
     d = len(edges)
     if draw(st.booleans()):
-        coupling = np.zeros(d)
+        coupling = np.full(d, 1e-300)     # the zero-coupling limit; zero itself is refused
     else:
         coupling = draw(hnp.arrays(np.float64, d, elements=st.floats(*COUPLING_RANGE)))
     prob = IsingProblem(rows=rows, cols=cols, edges=edges, coupling=coupling,

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from comex import walk_kernel
 from comex.audits import TrueCoefficients, kl_divergence, kl_drop_audit
 from comex.basis import MonomialBasis
 from comex.domain import Unconstrained, sample_uniform
@@ -151,6 +154,96 @@ def test_update_rejects_an_observation_that_overflows_its_statistics():
             with pytest.raises(ValueError, match=re.escape(f"observation {fx!r} overflows")):
                 model.update(x, fx)
     assert np.array_equal(model.w, w) and repr(model.lr) == lr
+
+
+# -- the native update against its numpy reference ---------------------------
+
+# The walk-path fixtures patch the loader once per test, not per example.
+WITH_FIXTURE = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def update_run(model, rng, scale, n_updates=8):
+    """Everything a run of updates leaves behind, as bytes, up to and with
+    the error that ends it, if one does."""
+    losses, error = [], None
+    for _ in range(n_updates):
+        x, fx = sample_uniform(Unconstrained(model.basis.d), rng), scale * rng.standard_normal()
+        try:
+            diagnostics = model.update(x, fx)
+        except ValueError as exc:
+            error = str(exc)
+            break
+        losses += [diagnostics.loss, diagnostics.eta]
+    scalars = np.array([model.lr.e, model.lr.v, *losses])
+    return model.w.tobytes(), model.lr.t, scalars.tobytes(), error
+
+
+@given(st.integers(1, 9), st.sampled_from([1, 2, 3]), st.floats(0.1, 4.0),
+       st.one_of(st.none(), st.floats(1e-3, 2.0)), st.sampled_from([1e-9, 1.0, 1e3, 1e140]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=120, **WITH_FIXTURE)
+def test_native_update_matches_the_reference(native_walk, monkeypatch, d, m, sparsity, eta,
+                                             scale, seed):
+    states = []
+    for library in (native_walk, None):
+        monkeypatch.setattr(walk_kernel, "load", lambda library=library: library)
+        rng = np.random.default_rng(seed)
+        model = MonomialSurrogate(MonomialBasis(d, min(m, d)), sparsity, learning_rate=eta)
+        states.append(update_run(model, rng, scale))
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("walk_path", ["native_walk", "python_walk"])
+@pytest.mark.parametrize("eta", [None, 0.05])
+def test_an_overflowing_observation_leaves_the_model_unchanged(request, walk_path, eta):
+    request.getfixturevalue(walk_path)
+    rng = np.random.default_rng(7)
+    model = random_model(rng, n_updates=3, eta=eta)
+    w, lr = model.w.copy(), repr(model.lr)
+    x = sample_uniform(Unconstrained(6), rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fx in (1e300, -1e300, 1.7e308):
+            with pytest.raises(ValueError, match=re.escape(f"observation {fx!r} overflows")):
+                model.update(x, fx)
+    assert np.array_equal(model.w, w) and repr(model.lr) == lr
+
+
+@pytest.mark.parametrize("walk_path", ["native_walk", "python_walk"])
+def test_an_observation_that_zeroes_every_weight_leaves_the_model_unchanged(request,
+                                                                           walk_path):
+    request.getfixturevalue(walk_path)
+    model = MonomialSurrogate(MonomialBasis(1, 1), 1.0, learning_rate=1.0)
+    x = np.array([1.0])
+    model.update(x, 1000.0)             # every minus weight times exp(-4000), which is 0
+    w, lr = model.w.copy(), repr(model.lr)
+    with pytest.raises(ValueError, match=re.escape(
+            "observation -1000.0 leaves no weight to renormalize at step size 1.0")):
+        model.update(x, -1000.0)        # and now every plus weight
+    assert np.array_equal(model.w, w) and repr(model.lr) == lr
+
+
+@given(st.integers(1, 9), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, **WITH_FIXTURE)
+def test_the_update_loss_is_the_prediction_error(native_walk, d, m, seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, d=d, m=min(m, d), n_updates=int(rng.integers(0, 6)))
+    for _ in range(4):
+        x, fx = sample_uniform(Unconstrained(d), rng), float(rng.uniform(-2.0, 2.0))
+        assert model.predict(x) - fx == model.update(x, fx).loss
+
+
+def test_a_replaced_weight_vector_gets_a_fresh_workspace():
+    rng = np.random.default_rng(1)
+    model = random_model(rng, n_updates=2)
+    first = model.workspace()
+    assert model.workspace() is first
+    model.w = model.w.copy()
+    assert model.workspace() is not first and model.workspace().w is model.w
+    assert model.copy().workspace() is not model.workspace()
+    model.w = np.ones(3)
+    with pytest.raises(ValueError, match=re.escape("w must be 44 contiguous float64 weights")):
+        model.update(np.ones(6), 0.5)
 
 
 def test_update_rejects_non_finite_values():

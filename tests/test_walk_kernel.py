@@ -122,3 +122,11 @@ def test_importing_comex_loads_neither_the_kernel_nor_scipy():
     src = str(Path(comex.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0
+
+
+@needs_compiler
+def test_the_kernel_compiles_cleanly_with_all_warnings(tmp_path):
+    result = subprocess.run([walk_kernel.COMPILER, *walk_kernel.FLAGS, "-Wall", "-Wextra",
+                             "-Werror", "-o", str(tmp_path / "_walk.so"), walk_kernel.SOURCE,
+                             *walk_kernel.LIBS], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
