@@ -8,9 +8,25 @@ expectations of p and a fresh exact partition value for q_x, so the oracle
 is deterministic; node counts beyond enumeration scale are refused.
 
 Flipping every spin leaves each product z_u z_v unchanged, so both models
-give z and -z the same weight. The enumeration therefore keeps only the
-2^(n-1) states with node 0 = +1; each partition value is log 2 plus the
-log-sum-exp over that half, and the log 2 cancels in the KL.
+give z and -z the same weight. Node 0 is therefore held at +1: each
+partition value is log 2 plus a log-sum-exp over the 2^(n-1) states of the
+other nodes, and the log 2 cancels in the KL.
+
+That log-sum-exp is taken exactly by bucket elimination (Dechter, AIJ
+1999) over two halves of the graph. The nodes are ordered along the longer
+side of the grid (row-major when rows >= cols, column-major otherwise, node
+0 first); the high half is node 0 and the next (n-1)//2 nodes, the low half
+the rest. In each half the separator holds the nodes with an edge to the
+other half and the interior the others. With a, b the separator states and
+i, j the interior states of the high and low halves,
+
+    log Z = log 2 + LSE_ab( LSE_i E_H[a,i] + LSE_j E_L[b,j] + X[a,b] ),
+
+where E_H, E_L and X are the energies of the edges inside the high half,
+inside the low half and across, each a fixed table of edge signs weighted
+by the couplings (640 rows in all at 4x4, against 2^15 states). Every sum
+is an elementwise numpy op or an add-reduce in a fixed order, with no BLAS
+call, so the values do not depend on the CPU's BLAS kernels.
 """
 
 from __future__ import annotations
@@ -27,16 +43,15 @@ __all__ = ["grid_edges", "IsingProblem", "ising_make", "ising_oracle"]
 
 MAX_NODES = 20
 EXHAUSTIVE_EDGE_LIMIT = 16
-EXHAUSTIVE_BLOCK = 1024  # kept-edge masks evaluated at once by exhaustive_values
+EXHAUSTIVE_FLOATS = 2**20  # weighted signs held at once by exhaustive_values
 COUPLING_RANGE = (0.05, 5.0)
 LOG_2 = math.log(2.0)
 
 
-def _log_partition(energy: np.ndarray):
-    """log Z over all 2^n states from the energies of the node-0 = +1 half
-    (along axis 0): log 2 plus a max-shifted log-sum-exp."""
-    top = energy.max(axis=0)
-    return LOG_2 + top + np.log(np.exp(energy - top).sum(axis=0))
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp over the last axis."""
+    top = x.max(axis=-1)
+    return top + np.log(np.add.reduce(np.exp(x - top[..., None]), axis=-1))
 
 
 def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -61,6 +76,19 @@ def _node_pair(edge, n: int) -> tuple[int, int]:
     return pair
 
 
+def _spins(outer: list[int], inner: list[int]):
+    """Spins of every joint state of two node groups, one array per node over
+    the states, and the state shape (outer states, inner states). A state's
+    index is outer * inner states + inner, and the earlier node is the more
+    significant bit; node 0 is held at +1 and takes no bit."""
+    free = [u for u in outer + inner if u != 0]
+    codes = np.arange(2 ** len(free))
+    spins = {0: np.ones(codes.size)}
+    for j, u in enumerate(free):
+        spins[u] = 2.0 * ((codes >> (len(free) - 1 - j)) & 1) - 1.0
+    return spins, (2 ** sum(u != 0 for u in outer), 2 ** sum(u != 0 for u in inner))
+
+
 @dataclass
 class IsingProblem:
     rows: int
@@ -68,7 +96,7 @@ class IsingProblem:
     edges: list[tuple[int, int]]
     coupling: np.ndarray  # one positive weight per edge
     lambda_reg: float
-    _pair_spins: np.ndarray = field(init=False, repr=False)    # (2^(n-1), d) edge products
+    _tables: list = field(init=False, repr=False)  # high, low, cross: (edge ids, signs, shape)
     _log_z_p: float = field(init=False, repr=False)
     _pair_expect: np.ndarray = field(init=False, repr=False)   # E_p[z_u z_v] per edge
 
@@ -90,19 +118,62 @@ class IsingProblem:
         for weight, edge in zip(self.coupling.tolist(), self.edges):
             if not 0 < weight < math.inf:
                 raise ValueError(f"coupling must be positive and finite, got {weight!r} on {edge}")
-        # Spins of the states with node 0 = +1, node n-1 the lowest code bit.
-        codes = np.arange(2 ** (n - 1))
-        spins = [np.ones(codes.size)] + [
-            2.0 * ((codes >> (n - 1 - j)) & 1) - 1.0 for j in range(1, n)]
-        self._pair_spins = np.empty((codes.size, self.d))
-        for k, (u, v) in enumerate(self.edges):
-            np.multiply(spins[u], spins[v], out=self._pair_spins[:, k])
+        grid = np.arange(n).reshape(self.rows, self.cols)
+        order = (grid if self.rows >= self.cols else grid.T).ravel().tolist()
+        high = set(order[:1 + (n - 1) // 2])
+        sides = [(u in high) + (v in high) for u, v in self.edges]  # 2 high, 0 low, 1 across
+        crossing = {u for edge, side in zip(self.edges, sides) if side == 1 for u in edge}
+
+        def half(in_high):
+            nodes = [u for u in order if (u in high) == in_high]
+            return ([u for u in nodes if u in crossing], [u for u in nodes if u not in crossing])
+
+        (sep_high, int_high), (sep_low, int_low) = half(True), half(False)
+        # Each table holds the signs of its own edges, in edge order.
+        self._tables = []
+        for side, outer, inner in [(2, sep_high, int_high), (0, sep_low, int_low),
+                                   (1, sep_high, sep_low)]:
+            spins, shape = _spins(outer, inner)
+            own = np.array([k for k in range(self.d) if sides[k] == side], dtype=np.intp)
+            signs = np.empty((own.size, shape[0] * shape[1]))
+            for row, k in enumerate(own):
+                u, v = self.edges[k]
+                np.multiply(spins[u], spins[v], out=signs[row])
+            self._tables.append((own, signs, shape))
         # z^T J z with symmetric J and zero diagonal double-counts each edge.
-        energy = self._pair_spins @ (2.0 * self.coupling)
-        self._log_z_p = float(_log_partition(energy))
-        # Each half state stands for itself and its mirror image.
-        probs = 2.0 * np.exp(energy - self._log_z_p)
-        self._pair_expect = probs @ self._pair_spins
+        log_z_p, (high, high_lse, low, low_lse, joint) = self._eliminate(2.0 * self.coupling)
+        self._log_z_p = float(log_z_p)
+        # The marginals P(a, i), P(b, j) and P(a, b) of the states with node
+        # 0 = +1, which sum to 1: each stands for itself and its mirror image.
+        p_ab = np.exp(joint - (self._log_z_p - LOG_2))
+        probs = (np.exp(high - high_lse[:, None]) * np.add.reduce(p_ab, axis=1)[:, None],
+                 np.exp(low - low_lse[:, None]) * np.add.reduce(p_ab, axis=0)[:, None],
+                 p_ab)
+        self._pair_expect = np.empty(self.d)
+        for (own, signs, _), prob in zip(self._tables, probs):
+            self._pair_expect[own] = np.add.reduce(signs * prob.ravel(), axis=1)
+
+    def _eliminate(self, w: np.ndarray):
+        """log Z for edge weights w of shape (d,) or (B, d), and the energies
+        it eliminates: E_H (A, I), LSE_i E_H (A,), E_L (B', J), LSE_j E_L
+        (B',) and the separators' joint (A, B'), each after w's leading axes.
+        Each energy is a sequential sum over its table's edges in edge order."""
+        lead = w.shape[:-1]
+        expand = (slice(None),) + (None,) * len(lead)
+        high, low, cross = (
+            np.add.reduce(signs[expand] * w[..., own].T[..., None], axis=0).reshape(lead + shape)
+            for own, signs, shape in self._tables)
+        high_lse, low_lse = _log_sum_exp(high), _log_sum_exp(low)
+        joint = high_lse[..., :, None] + low_lse[..., None, :] + cross
+        log_z = LOG_2 + _log_sum_exp(joint.reshape(lead + (-1,)))
+        return log_z, (high, high_lse, low, low_lse, joint)
+
+    def _objective(self, kept: np.ndarray):
+        """evaluate_bits for kept-edge indicators of shape (d,) or (B, d)."""
+        log_z_q = self._eliminate(2.0 * self.coupling * kept)[0]
+        removed = 2.0 * self.coupling * self._pair_expect * (1.0 - kept)
+        kl = np.add.reduce(removed, axis=-1) + log_z_q - self._log_z_p
+        return kl + self.lambda_reg * np.add.reduce(kept, axis=-1)
 
     @property
     def n_nodes(self) -> int:
@@ -122,31 +193,24 @@ class IsingProblem:
 
     def evaluate_bits(self, bits: np.ndarray) -> float:
         """KL(p || q_x) + lambda_reg * (#kept edges); bit 1 keeps the edge."""
-        kept = np.asarray(bits, dtype=np.float64)
-        energy_q = self._pair_spins @ (2.0 * self.coupling * kept)
-        log_z_q = float(_log_partition(energy_q))
-        kl = float((2.0 * self.coupling * (1.0 - kept)) @ self._pair_expect) \
-            + log_z_q - self._log_z_p
-        return kl + self.lambda_reg * float(kept.sum())
+        return float(self._objective(np.asarray(bits, dtype=np.float64)))
 
     def evaluate(self, x) -> float:
         return self.evaluate_bits(to_bits(x))
 
     def exhaustive_values(self) -> np.ndarray:
         """Objective for every subset of edges, indexed by the kept-edge mask
-        read as a binary code (edge 0 most significant), EXHAUSTIVE_BLOCK
-        masks at a time, so at most (2^(n-1), EXHAUSTIVE_BLOCK) energies at once."""
+        read as a binary code (edge 0 most significant). The masks go through
+        the elimination in blocks of at most EXHAUSTIVE_FLOATS weighted signs
+        per table, and each value has the bits evaluate_bits gives its mask."""
         if self.d > EXHAUSTIVE_EDGE_LIMIT:
             raise ValueError(f"exhaustive evaluation refused for d > {EXHAUSTIVE_EDGE_LIMIT}")
         shifts = np.arange(self.d - 1, -1, -1)
-        removed = 2.0 * self.coupling * self._pair_expect
+        block = max(1, EXHAUSTIVE_FLOATS // max(signs.size for _, signs, _ in self._tables))
         values = np.empty(2**self.d)
-        for start in range(0, values.size, EXHAUSTIVE_BLOCK):
-            codes = np.arange(start, min(start + EXHAUSTIVE_BLOCK, values.size))
-            masks = ((codes[:, None] >> shifts) & 1).astype(np.float64)
-            log_z_q = _log_partition(self._pair_spins @ (2.0 * self.coupling * masks).T)
-            kl = (1.0 - masks) @ removed + log_z_q - self._log_z_p
-            values[codes] = kl + self.lambda_reg * masks.sum(axis=1)
+        for start in range(0, values.size, block):
+            codes = np.arange(start, min(start + block, values.size))
+            values[codes] = self._objective(((codes[:, None] >> shifts) & 1).astype(np.float64))
         return values
 
 

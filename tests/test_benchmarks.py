@@ -75,6 +75,7 @@ def test_all_keep_is_pure_regularization():
     prob = ising_make(np.random.default_rng(1), rows=3, cols=3)
     value = prob.evaluate_bits(np.ones(12))
     assert value == prob.lambda_reg * 12  # divergence term cancels exactly
+    assert prob.exhaustive_values()[-1] == value
 
 
 def test_zero_coupling_limit():

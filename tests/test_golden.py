@@ -5,14 +5,21 @@ reproduce bit-exactly. Each digest is the first 16 hex digits of a SHA-256
 over the query bit strings or the little-endian float64 bytes of a value
 array. A changed digest means the draw order of the acquisition or noise
 streams (or the arithmetic of an oracle or of the walk) has changed. Every
-run is checked on both walk paths, the native kernel and the Python walk.
+run is checked on both walk paths, the native kernel and the Python walk,
+and on the native path again under each BLAS core type.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import comex
 from comex.harness import ExperimentConfig, run_single
 
 PARAMS = {
@@ -38,12 +45,12 @@ GOLDEN = {
                         "bdd42ce19a5ccff7", "b643739bf9a8fb95"),
     ("nqueens", "sa"): ("bc654e5e80a0d53f", "7ad4b5078f14a545",
                         "21ded69f5db7aa70", "b643739bf9a8fb95"),
-    ("ising", "comex"): ("45843601428b747a", "94ec97024f45214b",
-                         "3470655d79e9dac7", "2d075aaea5831703"),
-    ("ising", "rs"): ("baeded70af70905e", "10272f224dff4af7",
-                      "837407a27eed7e6d", "645dcacefcaf4c9e"),
-    ("ising", "sa"): ("1ca385c0d6837d29", "3191db9323a04754",
-                      "125ac88b8ea11479", "f77cc3fb4f8444df"),
+    ("ising", "comex"): ("45843601428b747a", "be33d34710ae28ee",
+                         "4fcd6115ea4546a0", "99d418c4dd5285ff"),
+    ("ising", "rs"): ("baeded70af70905e", "3b54f2b2157a08a1",
+                      "a89ef5af47955761", "acdca97feb6a91ce"),
+    ("ising", "sa"): ("1ca385c0d6837d29", "ec4f821a40410d77",
+                      "47d3320630c9964b", "12fbee2b5cf2d80c"),
 }
 
 # The comex contamination run at m = 3, through the walk's degree >= 3 terms
@@ -62,13 +69,17 @@ def trace_digests(trace) -> tuple[str, ...]:
     return (_digest(queries.encode()), *(_digest(v) for v in values))
 
 
-def check_recorded_run(problem, algorithm, m=2, expected=None):
+def recorded_run_digests(problem, algorithm, m=2):
     config = ExperimentConfig(problem=problem, algorithm=algorithm, m=m,
                               budget=BUDGETS[algorithm], seeds=(3,),
                               problem_params=PARAMS[problem], instance_seed=1)
     trace = run_single(config, seed=3)
     assert len(trace) == BUDGETS[algorithm]
-    assert trace_digests(trace) == (expected or GOLDEN[(problem, algorithm)])
+    return trace_digests(trace)
+
+
+def check_recorded_run(problem, algorithm, m=2, expected=None):
+    assert recorded_run_digests(problem, algorithm, m) == (expected or GOLDEN[(problem, algorithm)])
 
 
 @pytest.mark.parametrize("problem, algorithm", sorted(GOLDEN))
@@ -87,3 +98,23 @@ def test_recorded_m3_run_reproduces(native_walk):
 
 def test_recorded_m3_run_reproduces_on_the_python_walk(python_walk):
     check_recorded_run("contamination", "comex", m=3, expected=GOLDEN_M3)
+
+
+@pytest.mark.parametrize("core_type", ["Prescott", "Haswell", "SkylakeX"])
+def test_recorded_runs_reproduce_under_each_blas_core_type(native_walk, core_type):
+    """OpenBLAS picks its kernels, and with them its summation order, by CPU
+    type, so a value that went through BLAS would differ between hosts."""
+    runs = [(*key, 2) for key in sorted(GOLDEN)] + [("contamination", "comex", 3)]
+    script = ("import json, sys; from comex import walk_kernel; import test_golden as g; "
+              "assert walk_kernel.load() is not None; "
+              "print(json.dumps([g.recorded_run_digests(*run) for run in json.loads(sys.argv[1])]))")
+    paths = (str(Path(comex.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "OPENBLAS_CORETYPE": core_type,
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-3000:]
+    digests = {"-".join(map(str, run)): tuple(d) for run, d in zip(runs, json.loads(result.stdout))}
+    assert digests == {"-".join(map(str, run)): GOLDEN_M3 if run[2] == 3 else GOLDEN[run[:2]]
+                       for run in runs}
