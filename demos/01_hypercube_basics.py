@@ -9,10 +9,11 @@ import numpy as np
 from comex import (
     SumConstrained,
     Unconstrained,
+    apply_flips,
     contains,
     from_bits,
     hamming_distance,
-    sample_neighbor,
+    neighbor_move,
     sample_uniform,
     to_bits,
 )
@@ -28,7 +29,7 @@ print(f"round trip: {to_bits(spins)}")
 print("\n== unconstrained domain ==")
 cube = Unconstrained(8)
 x = sample_uniform(cube, rng)
-y = sample_neighbor(cube, x, rng)
+y = apply_flips(x, neighbor_move(cube, x, rng))
 print(f"point     {x}")
 print(f"neighbor  {y}   (Hamming distance {hamming_distance(x, y)})")
 
@@ -36,7 +37,7 @@ print("\n== sum-constrained domain: exactly n coordinates on ==")
 slice_ = SumConstrained(10, 3)
 x = sample_uniform(slice_, rng)
 print(f"point     {x}   (ones: {int((x == 1).sum())})")
-y = sample_neighbor(slice_, x, rng)
+y = apply_flips(x, neighbor_move(slice_, x, rng))
 print(f"neighbor  {y}   (ones: {int((y == 1).sum())}, distance {hamming_distance(x, y)})")
 print(f"neighbor stays feasible: {contains(slice_, y)}")
 

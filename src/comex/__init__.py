@@ -28,7 +28,6 @@ from .domain import (
     from_bits,
     hamming_distance,
     neighbor_move,
-    sample_neighbor,
     sample_uniform,
     to_bits,
 )
@@ -38,7 +37,6 @@ from .results import (
     Summary,
     export_json,
     export_summary_csv,
-    load_summary_csv,
     simple_regret,
     summarize,
 )

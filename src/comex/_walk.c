@@ -12,17 +12,18 @@
    degree >= 3 contributions c and their per-coordinate sums g in place,
    and return the number of accepted proposals. The basis tables are those
    of comex.basis.MonomialBasis; terms are padded with the index d, which
-   x_aug maps to 1.0 and g to a slot that is never read. */
+   x_aug maps to 1.0 and g to a slot that is never read. Terms are
+   addressed by range in the basis order: term 1 + i is coordinate i, the
+   pairs follow, and the last n_high terms are those of degree >= 3. */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 typedef struct {
-    int64_t d, p, m, n_pair, n_high;
+    int64_t d, p, m, n_high;
     double *w, *psi, *x_aug, *stats, *x, *A, *h, *c, *g;
-    const int64_t *padded, *linear_ids, *pair_ids, *pair_coords, *high_ids, *high_coords,
-        *high_ptr, *high_index;
+    const int64_t *padded, *high_ptr, *high_index;
 } Workspace;
 
 /* Product of x_aug over the m padded coordinates at coords. */
@@ -32,6 +33,10 @@ static double monomial(const double *x_aug, const int64_t *coords, int64_t m)
     for (int64_t k = 0; k < m; k++) value *= x_aug[coords[k]];
     return value;
 }
+
+/* The padded coordinates of the degree >= 3 term at position t among them. */
+static const int64_t *high_term(const Workspace *ws, int64_t t)
+{ return ws->padded + (ws->p - ws->n_high + t) * ws->m; }
 
 /* The signed coefficient w_plus - w_minus of term t. */
 static double coefficient(const Workspace *ws, int64_t t) { return ws->w[t] - ws->w[ws->p + t]; }
@@ -79,23 +84,23 @@ int64_t surrogate_update(const Workspace *ws, double fx, double eta, double spar
 /* A, h, c and g at the point x for the coefficients w_plus - w_minus. */
 void field_build(const Workspace *ws)
 {
-    const int64_t d = ws->d, m = ws->m;
+    const int64_t d = ws->d, m = ws->m, high_start = ws->p - ws->n_high;
     memcpy(ws->x_aug, ws->x, d * sizeof(double));
     ws->x_aug[d] = 1.0;
     memset(ws->A, 0, d * d * sizeof(double));
-    for (int64_t t = 0; t < ws->n_pair; t++) {
-        const int64_t i = ws->pair_coords[2 * t], j = ws->pair_coords[2 * t + 1];
-        ws->A[i * d + j] = ws->A[j * d + i] = coefficient(ws, ws->pair_ids[t]);
+    for (int64_t t = 1 + d; t < high_start; t++) {
+        const int64_t i = ws->padded[t * m], j = ws->padded[t * m + 1];
+        ws->A[i * d + j] = ws->A[j * d + i] = coefficient(ws, t);
     }
     for (int64_t i = 0; i < d; i++) {
         double s = 0.0;
         for (int64_t l = 0; l < d; l++) s += ws->A[i * d + l] * ws->x[l];
-        ws->h[i] = coefficient(ws, ws->linear_ids[i]) + s;
+        ws->h[i] = coefficient(ws, 1 + i) + s;
     }
     memset(ws->g, 0, (d + 1) * sizeof(double));
     for (int64_t t = 0; t < ws->n_high; t++) {
-        const int64_t *coords = ws->high_coords + t * m;
-        ws->c[t] = coefficient(ws, ws->high_ids[t]) * monomial(ws->x_aug, coords, m);
+        const int64_t *coords = high_term(ws, t);
+        ws->c[t] = coefficient(ws, high_start + t) * monomial(ws->x_aug, coords, m);
         for (int64_t k = 0; k < m; k++) ws->g[coords[k]] += ws->c[t];
     }
 }
@@ -106,9 +111,9 @@ static double pair_sum(const Workspace *ws, int64_t i, int64_t j)
 {
     double s = 0.0;
     for (int64_t q = ws->high_ptr[i]; q < ws->high_ptr[i + 1]; q++) {
-        const int64_t t = ws->high_index[q];
+        const int64_t t = ws->high_index[q], *coords = high_term(ws, t);
         for (int64_t k = 0; k < ws->m; k++)
-            if (ws->high_coords[t * ws->m + k] == j) {
+            if (coords[k] == j) {
                 s += ws->c[t];
                 break;
             }
@@ -122,10 +127,10 @@ static double pair_sum(const Workspace *ws, int64_t i, int64_t j)
 static void negate_high(const Workspace *ws, int64_t k)
 {
     for (int64_t q = ws->high_ptr[k]; q < ws->high_ptr[k + 1]; q++) {
-        const int64_t t = ws->high_index[q];
+        const int64_t t = ws->high_index[q], *coords = high_term(ws, t);
         const double old = ws->c[t];
         ws->c[t] = -old;
-        for (int64_t l = 0; l < ws->m; l++) ws->g[ws->high_coords[t * ws->m + l]] -= 2.0 * old;
+        for (int64_t l = 0; l < ws->m; l++) ws->g[coords[l]] -= 2.0 * old;
     }
 }
 

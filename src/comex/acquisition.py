@@ -59,8 +59,9 @@ class LocalField:
 
     Accepting a flip of k is the row update h -= 2 x_k A[k] and, term by
     term for the degree >= 3 terms containing k, negating c_I and taking
-    2 * (old c_I) off g at the term's coordinates; g[d] takes the padding
-    index of basis.high_coords and is never read. For m <= 2 there are none.
+    2 * (old c_I) off g at the term's coordinates; g[d] takes the index
+    that pads short terms in basis.padded and is never read. For m <= 2
+    there are none.
 
     The point and the field are the model's workspace buffers
     (comex.walk_kernel.Workspace), so the next LocalField built from the
@@ -71,6 +72,7 @@ class LocalField:
         basis, ws = model.basis, model.workspace()
         ws.x[:] = basis.point(x)
         self.basis, self._ws = basis, ws
+        self._high = basis.padded[basis.high_start:]
         self.x, self._A, self._h, self._c, self._g = ws.x, ws.A, ws.h, ws.c, ws.g
         library = walk_kernel.load()
         if library is not None:
@@ -78,27 +80,26 @@ class LocalField:
         else:
             self._build_reference(model.coefficients)
         self.accepted = 0
-        self.plus = self.minus = None
 
     def _build_reference(self, a: np.ndarray) -> None:
         """The field for the coefficients a in numpy: the reference of the
         kernel's field_build, every sum taken in index order."""
-        basis = self.basis
-        rows, cols = basis.pair_coords.T
+        d, pairs = self.basis.d, slice(1 + self.basis.d, self.basis.high_start)
+        rows, cols = self.basis.padded[pairs, :2].reshape(-1, 2).T
         self._A.fill(0.0)
-        self._A[rows, cols] = self._A[cols, rows] = a[basis.pair_ids]
-        self._h[:] = a[basis.linear_ids] + ordered_sum(self._A * self.x, axis=1)
+        self._A[rows, cols] = self._A[cols, rows] = a[pairs]
+        self._h[:] = a[1:1 + d] + ordered_sum(self._A * self.x, axis=1)
         x_aug = np.append(self.x, 1.0)
-        self._c[:] = a[basis.high_ids] * np.prod(x_aug[basis.high_coords], axis=1)
-        self._g[:] = np.bincount(basis.high_coords.ravel(), minlength=basis.d + 1,
-                                 weights=np.repeat(self._c, basis.m))
+        self._c[:] = a[self.basis.high_start:] * np.prod(x_aug[self._high], axis=1)
+        self._g[:] = np.bincount(self._high.ravel(), minlength=d + 1,
+                                 weights=np.repeat(self._c, self.basis.m))
 
     def _pair_sum(self, i: int, j: int) -> float:
         """sum of c_I over the degree >= 3 terms I containing i and j, added
         one by one in term order (the native walk's order)."""
         start, stop = self.basis.high_ptr[i:i + 2]
         pos = self.basis.high_index[start:stop]
-        both = (self.basis.high_coords[pos] == j).any(axis=1)
+        both = (self._high[pos] == j).any(axis=1)
         total = 0.0
         for value in self._c[pos[both]].tolist():
             total += value
@@ -110,7 +111,7 @@ class LocalField:
         pos = self.basis.high_index[start:stop]
         old = self._c[pos]
         self._c[pos] = -old
-        coords = self.basis.high_coords[pos]
+        coords = self._high[pos]
         np.subtract.at(self._g, coords.ravel(), np.repeat(2.0 * old, coords.shape[1]))
 
     def walk(self, constraint: ConstraintSet, temperature: float, n_iters: int,
@@ -138,10 +139,9 @@ class LocalField:
         if n_iters <= 0:
             return self.x.copy()
         if isinstance(constraint, SumConstrained):
-            self.plus = np.flatnonzero(self.x == 1.0)
-            self.minus = np.flatnonzero(self.x == -1.0)
-            moves = (self.plus, self.minus, rng.integers(self.plus.size, size=n_iters),
-                     rng.integers(self.minus.size, size=n_iters))
+            plus, minus = np.flatnonzero(self.x == 1.0), np.flatnonzero(self.x == -1.0)
+            moves = (plus, minus, rng.integers(plus.size, size=n_iters),
+                     rng.integers(minus.size, size=n_iters))
         else:
             moves = (rng.integers(self.basis.d, size=n_iters),)
         limits = temperature * -np.log1p(-rng.random(n_iters))

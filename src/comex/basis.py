@@ -20,14 +20,13 @@ __all__ = ["MonomialBasis", "enumerate_basis", "evaluate_monomial", "basis_size"
 class MonomialBasis:
     """All index sets I with |I| <= m over d coordinates, in a fixed order.
 
-    Terms are sorted by ascending degree, then lexicographically; term 0 is
-    the constant monomial (empty set). `padded` holds each term's
-    coordinates padded with the index d. The basis also stores the index
-    tables the acquisition walk's local field reads (see
-    comex.acquisition.LocalField): the positions of the degree-1 terms in
-    coordinate order, the positions and coordinate pairs of the degree-2
-    terms, and for the terms of degree >= 3 their padded coordinates and,
-    per coordinate, the positions among them of the terms containing it, as
+    Terms are sorted by ascending degree, then lexicographically, so term 0
+    is the constant monomial (empty set), terms 1..d the coordinates, the
+    next C(d, 2) the pairs and the rest, from `high_start` on, the terms of
+    degree >= 3. `padded` holds each term's coordinates padded with the
+    index d. For the acquisition walk's local field (see
+    comex.acquisition.LocalField) the basis also stores, per coordinate,
+    the positions among the degree >= 3 terms of those containing it, as
     one CSR table. Every index array is read-only, so a basis can be shared
     (see enumerate_basis).
     """
@@ -45,6 +44,7 @@ class MonomialBasis:
             )
         )
         self.p = len(self.terms)
+        self.high_start = basis_size(d, min(m, 2))
 
         # Var matrix padded with the sentinel index d; products are taken
         # against x extended by a trailing 1.0, so padding is a no-op.
@@ -53,22 +53,15 @@ class MonomialBasis:
             row[: len(term)] = term
         self.padded = padded
 
-        degree = np.array([len(term) for term in self.terms])
-        self.linear_ids = np.flatnonzero(degree == 1)
-        self.pair_ids = np.flatnonzero(degree == 2)
-        self.pair_coords = padded[self.pair_ids, :2].reshape(-1, 2)
-        self.high_ids = np.flatnonzero(degree >= 3)
-        self.high_coords = padded[self.high_ids]
         # The degree >= 3 terms containing coordinate k, as positions among
         # them in ascending order: high_index[high_ptr[k]:high_ptr[k + 1]].
         containing: list[list[int]] = [[] for _ in range(d)]
-        for pos, t in enumerate(self.high_ids):
-            for i in self.terms[t]:
+        for pos, term in enumerate(self.terms[self.high_start:]):
+            for i in term:
                 containing[i].append(pos)
         self.high_ptr = np.cumsum([0] + [len(ids) for ids in containing])
         self.high_index = np.array([pos for ids in containing for pos in ids], dtype=np.int64)
-        for table in (padded, self.linear_ids, self.pair_ids, self.pair_coords,
-                      self.high_ids, self.high_coords, self.high_ptr, self.high_index):
+        for table in (padded, self.high_ptr, self.high_index):
             table.flags.writeable = False
 
     def __repr__(self):

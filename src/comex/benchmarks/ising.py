@@ -187,10 +187,6 @@ class IsingProblem:
     def log_z_p(self) -> float:
         return self._log_z_p
 
-    @property
-    def pair_expectations(self) -> np.ndarray:
-        return self._pair_expect.copy()
-
     def evaluate_bits(self, bits: np.ndarray) -> float:
         """KL(p || q_x) + lambda_reg * (#kept edges); bit 1 keeps the edge."""
         return float(self._objective(np.asarray(bits, dtype=np.float64)))

@@ -24,7 +24,6 @@ __all__ = [
     "sample_uniform",
     "neighbor_move",
     "apply_flips",
-    "sample_neighbor",
     "enumerate_points",
 ]
 
@@ -134,14 +133,6 @@ def apply_flips(x: np.ndarray, move: tuple[int, ...]) -> np.ndarray:
     y = np.array(x, dtype=np.float64)
     y[list(move)] *= -1.0
     return y
-
-
-def sample_neighbor(c: ConstraintSet, x, rng: np.random.Generator) -> np.ndarray:
-    """Draw a uniform neighbor of x within the constraint set."""
-    x = np.asarray(x, dtype=np.float64)
-    if not contains(c, x):
-        raise ValueError("point does not satisfy the constraint set")
-    return apply_flips(x, neighbor_move(c, x, rng))
 
 
 def enumerate_points(c: ConstraintSet) -> np.ndarray:

@@ -27,7 +27,7 @@ from .acquisition import AnnealSchedule, propose_query
 from .baselines import DirectAnnealing, RandomSearch
 from .basis import enumerate_basis
 from .benchmarks.io import load_instance
-from .benchmarks.registry import PROBLEMS, make_problem, problem_oracle
+from .benchmarks.registry import PROBLEMS, kind_of, make_problem, problem_oracle
 from .domain import to_bits
 from .results import RunTrace, build_trace
 from .surrogate import MonomialSurrogate
@@ -103,9 +103,18 @@ class ExperimentConfig:
 
 
 def build_problem(config: ExperimentConfig):
-    """Materialize the benchmark instance and its scaled oracle."""
-    if config.instance_file:
-        problem = load_instance(config.instance_file)
+    """Materialize the benchmark instance and its scaled oracle. An instance
+    file must hold an instance of `config.problem`, and takes no problem
+    parameters."""
+    path = config.instance_file
+    if path:
+        if config.problem_params:
+            raise ValueError(f"{path}: an instance file takes no problem parameters, "
+                             f"got {', '.join(config.problem_params)}")
+        problem = load_instance(path)
+        if kind_of(problem) != config.problem:
+            raise ValueError(f"{path}: is an instance of {kind_of(problem)!r}, "
+                             f"not of the problem {config.problem!r}")
     else:
         problem = make_problem(config.problem, config.problem_params,
                                np.random.default_rng(config.instance_seed))

@@ -22,7 +22,6 @@ __all__ = [
     "simple_regret",
     "summarize",
     "export_summary_csv",
-    "load_summary_csv",
     "export_json",
 ]
 
@@ -102,7 +101,7 @@ class Summary:
     n_runs: int
     mean_regret: np.ndarray
     stderr: np.ndarray
-    mean_step_time: np.ndarray
+    mean_step_time_s: np.ndarray
     final_regrets: np.ndarray
     n_padded: int = 0
 
@@ -126,7 +125,7 @@ class Summary:
 
     @property
     def mean_algorithm_time_per_step(self) -> float:
-        return float(self.mean_step_time.mean())
+        return float(self.mean_step_time_s.mean())
 
 
 def summarize(traces: list[RunTrace]) -> Summary:
@@ -154,7 +153,7 @@ def summarize(traces: list[RunTrace]) -> Summary:
         n_runs=n,
         mean_regret=regrets.mean(axis=0),
         stderr=stderr,
-        mean_step_time=times.mean(axis=0),
+        mean_step_time_s=times.mean(axis=0),
         final_regrets=np.array([t.final_regret for t in traces]),
         n_padded=n_padded,
     )
@@ -166,30 +165,18 @@ def export_summary_csv(summary: Summary, path) -> None:
     for k in range(summary.length):
         lines.append(
             f"{k + 1},{float(summary.mean_regret[k])!r},"
-            f"{float(summary.stderr[k])!r},{float(summary.mean_step_time[k])!r}"
+            f"{float(summary.stderr[k])!r},{float(summary.mean_step_time_s[k])!r}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_summary_csv(path) -> dict[str, np.ndarray]:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected CSV header")
-    rows = [line.split(",") for line in lines[1:]]
-    return {
-        "step": np.array([int(r[0]) for r in rows]),
-        "mean_regret": np.array([float(r[1]) for r in rows]),
-        "stderr": np.array([float(r[2]) for r in rows]),
-        "mean_step_time_s": np.array([float(r[3]) for r in rows]),
-    }
-
-
-def _trace_to_dict(trace: RunTrace) -> dict:
-    """One key per RunTrace field, in declaration order: queries as bit
-    strings, arrays and floats as Python floats, the rest as they are."""
+def _record(record) -> dict:
+    """One key per field of a RunTrace or Summary, in declaration order:
+    queries as bit strings, arrays and floats as Python floats, the rest as
+    they are."""
     doc = {}
-    for f in fields(RunTrace):
-        value = getattr(trace, f.name)
+    for f in fields(record):
+        value = getattr(record, f.name)
         if f.name == "queries":
             value = ["".join(str(int(b)) for b in q) for q in value]
         elif f.type in ("np.ndarray", "float"):
@@ -201,14 +188,7 @@ def _trace_to_dict(trace: RunTrace) -> dict:
 def export_json(path, config: dict, traces: list[RunTrace],
                 summary: Summary | None = None) -> None:
     """Traces plus a config echo (and optionally the summary) as JSON."""
-    doc: dict = {"config": config, "traces": [_trace_to_dict(t) for t in traces]}
+    doc: dict = {"config": config, "traces": [_record(t) for t in traces]}
     if summary is not None:
-        doc["summary"] = {
-            "n_runs": summary.n_runs,
-            "mean_regret": [float(v) for v in summary.mean_regret],
-            "stderr": [float(v) for v in summary.stderr],
-            "mean_step_time_s": [float(v) for v in summary.mean_step_time],
-            "final_regrets": [float(v) for v in summary.final_regrets],
-            "n_padded": summary.n_padded,
-        }
+        doc["summary"] = _record(summary)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

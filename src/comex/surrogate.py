@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import walk_kernel
-from .basis import MonomialBasis
+from .basis import MonomialBasis, basis_size
 
 __all__ = [
     "ADAPTIVE_C",
@@ -141,10 +141,6 @@ class MonomialSurrogate:
         """Signed coefficients w_plus - w_minus."""
         return self.w_plus - self.w_minus
 
-    @property
-    def mass(self) -> float:
-        return float(self.w.sum())
-
     def predict(self, x) -> float:
         """Surrogate value at x, summed as update sums it; always within
         +/- total weight mass."""
@@ -241,8 +237,9 @@ class MonomialSurrogate:
     @classmethod
     def load(cls, path) -> "MonomialSurrogate":
         """Read a checkpoint written by save; a missing or malformed key, a
-        scalar out of range, or a weight that is negative or not finite,
-        raises ValueError naming it."""
+        scalar out of range, a weight that is negative or not finite, or a
+        weight count that does not match d and m, raises ValueError naming
+        it. The counts are checked before the basis is built."""
         text = Path(path).read_text().strip().splitlines()
         if not text or text[0].strip() != "comex-surrogate-v1":
             raise ValueError(f"{path}: not a surrogate checkpoint")
@@ -278,17 +275,22 @@ class MonomialSurrogate:
 
         def weights(value):
             w = np.array([float.fromhex(v) for v in value.split()])
-            if w.size != basis.p:
-                raise ValueError(f"{w.size} weights for a basis of {basis.p} terms")
+            if w.size != p:
+                raise ValueError(f"{w.size} weights for a basis of {p} terms")
             if not np.all(np.isfinite(w) & (w >= 0.0)):
                 raise ValueError("weights must be finite and nonnegative")
             return w
 
-        basis = MonomialBasis(read("d", int), read("m", int))
-        eta = None if read("lr_mode", lr_mode) == "adaptive" else read("lr_eta", positive)
-        model = cls(basis, read("sparsity", positive), learning_rate=eta)
-        model.lr.t = read("lr_t", ranged(int, lambda v: v >= 0, "nonnegative"))
-        model.lr.e = read("lr_e", nonnegative)
-        model.lr.v = read("lr_v", nonnegative)
-        model.w = np.concatenate([read("w_plus", weights), read("w_minus", weights)])
+        d = read("d", ranged(int, lambda v: v >= 1, "at least 1"))
+        m = read("m", ranged(int, lambda v: 1 <= v <= d, f"between 1 and d = {d}"))
+        p = basis_size(d, m)
+        lr = LearningRateSchedule(
+            None if read("lr_mode", lr_mode) == "adaptive" else read("lr_eta", positive))
+        sparsity = read("sparsity", positive)
+        lr.t = read("lr_t", ranged(int, lambda v: v >= 0, "nonnegative"))
+        lr.e = read("lr_e", nonnegative)
+        lr.v = read("lr_v", nonnegative)
+        w = np.concatenate([read("w_plus", weights), read("w_minus", weights)])
+        model = cls(MonomialBasis(d, m), sparsity)
+        model.lr, model.w = lr, w
         return model

@@ -40,13 +40,12 @@ _SIGNATURES = {      # name: (argument types after the workspace, result type)
     "swap_walk": ([_I64, _PTR, _PTR, _PTR, _PTR, _PTR], _I64),
 }
 _BUFFERS = ("w", "psi", "x_aug", "stats", "x", "A", "h", "c", "g")
-_TABLES = ("padded", "linear_ids", "pair_ids", "pair_coords", "high_ids", "high_coords",
-           "high_ptr", "high_index")
+_TABLES = ("padded", "high_ptr", "high_index")
 
 
 class _Struct(ctypes.Structure):
     """The kernel's `Workspace` struct: sizes, then buffer and table addresses."""
-    _fields_ = ([(name, _I64) for name in ("d", "p", "m", "n_pair", "n_high")]
+    _fields_ = ([(name, _I64) for name in ("d", "p", "m", "n_high")]
                 + [(name, _PTR) for name in _BUFFERS + _TABLES])
 
 
@@ -64,8 +63,8 @@ class Workspace:
         self.basis, self.w = basis, w
         self.psi, self.x_aug, self.stats = np.empty(p), np.ones(d + 1), np.empty(3)
         self.x, self.A, self.h = np.empty(d), np.zeros((d, d)), np.empty(d)
-        self.c, self.g = np.empty(basis.high_ids.size), np.zeros(d + 1)
-        self._struct = _Struct(d, p, basis.m, basis.pair_ids.size, self.c.size,
+        self.c, self.g = np.empty(p - basis.high_start), np.zeros(d + 1)
+        self._struct = _Struct(d, p, basis.m, self.c.size,
                                *(getattr(self, name).ctypes.data for name in _BUFFERS),
                                *(getattr(basis, name).ctypes.data for name in _TABLES))
         self.address = ctypes.addressof(self._struct)

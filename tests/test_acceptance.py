@@ -48,7 +48,7 @@ def test_criterion_1_mass_conservation():
         for _ in range(100):
             x = sample_uniform(Unconstrained(d), rng)
             model.update(x, float(rng.uniform(-1.0, 1.0)))
-            assert model.mass == pytest.approx(sparsity, rel=1e-9)
+            assert model.w.sum() == pytest.approx(sparsity, rel=1e-9)
             steps_done += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s (limit 30s)"

@@ -110,6 +110,9 @@ def test_high_degree_csr_rows_match_brute_force():
     for d, m in [(6, 4), (7, 3), (5, 2)]:
         basis = MonomialBasis(d, m)
         high_terms = [term for term in basis.terms if len(term) >= 3]
+        assert basis.terms[basis.high_start:] == tuple(high_terms)
+        low_degrees = [0] + [1] * d + [2] * math.comb(d, 2)
+        assert [len(term) for term in basis.terms[:basis.high_start]] == low_degrees
         assert basis.high_ptr.shape == (d + 1,)
         for k in range(d):
             row = basis.high_index[basis.high_ptr[k]:basis.high_ptr[k + 1]]
@@ -118,9 +121,9 @@ def test_high_degree_csr_rows_match_brute_force():
 
 def test_basis_index_arrays_are_read_only():
     basis = MonomialBasis(5, 3)
-    tables = [basis.linear_ids, basis.pair_ids, basis.pair_coords, basis.high_ids,
-              basis.high_coords, basis.high_ptr, basis.high_index]
-    for table in tables:
+    tables = {name for name, value in vars(basis).items() if isinstance(value, np.ndarray)}
+    assert tables == {"padded", "high_ptr", "high_index"}
+    for table in (basis.padded, basis.high_ptr, basis.high_index):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 7
 

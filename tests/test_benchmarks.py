@@ -83,7 +83,7 @@ def test_zero_coupling_limit():
     prob = IsingProblem(rows=3, cols=3, edges=edges,
                         coupling=np.full(len(edges), 1e-300), lambda_reg=0.01)
     assert prob.log_z_p == pytest.approx(9 * math.log(2.0), rel=1e-12)
-    assert np.allclose(prob.pair_expectations, 0.0, atol=1e-12)
+    assert np.allclose(prob._pair_expect, 0.0, atol=1e-12)
     assert prob.evaluate_bits(np.zeros(12)) == pytest.approx(0.0, abs=1e-9)
 
 

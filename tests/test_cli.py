@@ -136,6 +136,19 @@ def test_instance_file_with_a_bad_edge_exits_one_naming_it(tmp_path, capsys, edg
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "is an instance of 'ising', not of the problem 'contamination'"),
+    (["--problem", "ising", "--d", "5"], "an instance file takes no problem parameters, got d"),
+])
+def test_instance_file_must_be_of_the_problem_and_take_no_parameters(tmp_path, capsys,
+                                                                     flags, message):
+    path = tmp_path / "ising.json"
+    save_instance(ising_make(np.random.default_rng(8), rows=2, cols=2), path)
+    code = main(["run", "--instance-file", str(path), "--algo", "rs", "--budget", "3", *flags])
+    assert code == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, edit", [
     ("edges", lambda doc: doc["edges"].append(doc["edges"][0][::-1])),
     ("coupling", lambda doc: doc["coupling"].__setitem__(0, {"hex": (-1.0).hex()})),

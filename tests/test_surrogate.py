@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from comex import walk_kernel
+from comex import surrogate, walk_kernel
 from comex.audits import TrueCoefficients, kl_divergence, kl_drop_audit
 from comex.basis import MonomialBasis
 from comex.domain import Unconstrained, sample_uniform
@@ -99,7 +99,7 @@ def test_update_hand_executed_example():
     diag = model.update(x, 1.0)
     assert diag.loss == pytest.approx(-1.0)
     assert diag.eta == 0.1
-    assert model.mass == pytest.approx(1.0, rel=1e-12)
+    assert model.w.sum() == pytest.approx(1.0, rel=1e-12)
     ratio = model.w_plus / model.w_minus  # normalization cancels in the ratio
     assert np.allclose(ratio, math.exp(0.4), rtol=1e-12)
 
@@ -138,7 +138,7 @@ def test_update_mass_conservation_randomized():
         for _ in range(50):
             x = sample_uniform(Unconstrained(8), rng)
             model.update(x, float(rng.uniform(-1.0, 1.0)))
-            assert model.mass == pytest.approx(sparsity, rel=1e-9)
+            assert model.w.sum() == pytest.approx(sparsity, rel=1e-9)
             assert np.all(model.w_plus >= 0.0)
             assert np.all(model.w_minus >= 0.0)
 
@@ -470,6 +470,9 @@ def test_checkpoint_rejects_bad_weights(tmp_path, key, bad):
     ("lr_e", "nan", "nonnegative and finite"),
     ("lr_v", "-inf", "nonnegative and finite"),
     ("lr_t", "-4", "nonnegative"),
+    ("d", "0", "at least 1"),
+    ("m", "0", "between 1 and d = 4"),
+    ("m", "5", "between 1 and d = 4"),
 ])
 def test_checkpoint_rejects_out_of_range_scalars(tmp_path, key, bad, rule):
     path, lines = saved_checkpoint(tmp_path)
@@ -484,6 +487,21 @@ def test_constructors_reject_nan():
         MonomialSurrogate(MonomialBasis(3, 1), sparsity=float("nan"))
     with pytest.raises(ValueError, match="fixed step size must be positive and finite"):
         LearningRateSchedule(float("nan"))
+
+
+def test_checkpoint_weight_count_is_checked_before_the_basis_is_built(tmp_path, monkeypatch):
+    path, lines = saved_checkpoint(tmp_path)
+    path.write_text("\n".join(line.replace("d = 4", "d = 1000000000").replace("m = 2", "m = 3")
+                              for line in lines))
+
+    def refuse(d, m):
+        raise AssertionError(f"built a basis for d = {d}, m = {m}")
+
+    monkeypatch.setattr(surrogate, "MonomialBasis", refuse)
+    p = sum(math.comb(10**9, k) for k in range(4))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: bad 'w_plus': 11 weights for a basis of {p} terms")):
+        MonomialSurrogate.load(path)
 
 
 def test_checkpoint_rejects_wrong_weight_count(tmp_path):

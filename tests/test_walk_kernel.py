@@ -1,7 +1,9 @@
 """The loader of the native walk kernel: build on first use, cache by source
 hash, race-free installs, and the fallback to the Python walk."""
 
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -130,3 +132,17 @@ def test_the_kernel_compiles_cleanly_with_all_warnings(tmp_path):
                              "-Werror", "-o", str(tmp_path / "_walk.so"), walk_kernel.SOURCE,
                              *walk_kernel.LIBS], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_the_struct_declares_the_c_workspace_fields_in_order():
+    """_Struct and the C typedef must agree, or the kernel reads wrong addresses."""
+    source = Path(walk_kernel.SOURCE).read_text()
+    body = re.search(r"typedef struct \{(.*?)\} Workspace;", source, re.S).group(1)
+    declared = []
+    for declaration in filter(str.strip, body.split(";")):
+        ctype, names = re.fullmatch(r"\s*(?:const\s+)?(int64_t|double)\s+(.*)", declaration,
+                                    re.S).groups()
+        for name in (name.strip() for name in names.split(",")):
+            scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[ctype]
+            declared.append((name.lstrip("*"), ctypes.c_void_p if "*" in name else scalar))
+    assert declared == walk_kernel._Struct._fields_
