@@ -8,13 +8,14 @@
    bit-identical to it.
 
    The walks consume the draws LocalField.walk makes (the moves, then the
-   acceptance limits -T log1p(-u)), update the point x, the field h, the
-   degree >= 3 contributions c and their per-coordinate sums g in place,
-   and return the number of accepted proposals. The basis tables are those
-   of comex.basis.MonomialBasis; terms are padded with the index d, which
-   x_aug maps to 1.0 and g to a slot that is never read. Terms are
-   addressed by range in the basis order: term 1 + i is coordinate i, the
-   pairs follow, and the last n_high terms are those of degree >= 3. */
+   acceptance limits -T log1p(-u)), update the point x_aug[:d], the field h,
+   the degree >= 3 contributions c and their per-coordinate sums g in place,
+   and return the number of accepted proposals. swap_walk builds the +1 and
+   -1 coordinate lists its moves index, ascending, from the point. The basis
+   tables are those of comex.basis.MonomialBasis; terms are padded with the
+   index d, whose x_aug entry is always 1.0 and whose g slot is never read.
+   Terms are addressed by range: term 1 + i is coordinate i, the pairs
+   follow, and the last n_high terms have degree >= 3. */
 
 #include <math.h>
 #include <stdint.h>
@@ -22,7 +23,7 @@
 
 typedef struct {
     int64_t d, p, m, n_high;
-    double *w, *psi, *x_aug, *stats, *x, *A, *h, *c, *g;
+    double *w, *psi, *x_aug, *stats, *A, *h, *c, *g;
     const int64_t *padded, *high_ptr, *high_index;
 } Workspace;
 
@@ -81,12 +82,10 @@ int64_t surrogate_update(const Workspace *ws, double fx, double eta, double spar
     return 0;
 }
 
-/* A, h, c and g at the point x for the coefficients w_plus - w_minus. */
+/* A, h, c and g at the point x_aug[:d] for the coefficients w_plus - w_minus. */
 void field_build(const Workspace *ws)
 {
     const int64_t d = ws->d, m = ws->m, high_start = ws->p - ws->n_high;
-    memcpy(ws->x_aug, ws->x, d * sizeof(double));
-    ws->x_aug[d] = 1.0;
     memset(ws->A, 0, d * d * sizeof(double));
     for (int64_t t = 1 + d; t < high_start; t++) {
         const int64_t i = ws->padded[t * m], j = ws->padded[t * m + 1];
@@ -94,7 +93,7 @@ void field_build(const Workspace *ws)
     }
     for (int64_t i = 0; i < d; i++) {
         double s = 0.0;
-        for (int64_t l = 0; l < d; l++) s += ws->A[i * d + l] * ws->x[l];
+        for (int64_t l = 0; l < d; l++) s += ws->A[i * d + l] * ws->x_aug[l];
         ws->h[i] = coefficient(ws, 1 + i) + s;
     }
     memset(ws->g, 0, (d + 1) * sizeof(double));
@@ -137,7 +136,7 @@ static void negate_high(const Workspace *ws, int64_t k)
 int64_t flip_walk(const Workspace *ws, int64_t n, const int64_t *flips, const double *limits)
 {
     const int64_t d = ws->d;
-    double *x = ws->x, *h = ws->h;
+    double *x = ws->x_aug, *h = ws->h;
     int64_t accepted = 0;
     for (int64_t t = 0; t < n; t++) {
         const int64_t i = flips[t];
@@ -155,13 +154,16 @@ int64_t flip_walk(const Workspace *ws, int64_t n, const int64_t *flips, const do
     return accepted;
 }
 
-int64_t swap_walk(const Workspace *ws, int64_t n, int64_t *plus, int64_t *minus,
-                  const int64_t *take_plus, const int64_t *take_minus, const double *limits)
+int64_t swap_walk(const Workspace *ws, int64_t n, const int64_t *take_plus,
+                  const int64_t *take_minus, const double *limits)
 {
     const int64_t d = ws->d;
     const double *A = ws->A;
-    double *x = ws->x, *h = ws->h;
-    int64_t accepted = 0;
+    double *x = ws->x_aug, *h = ws->h;
+    int64_t plus[d], minus[d], n_plus = 0, n_minus = 0, accepted = 0;
+    for (int64_t i = 0; i < d; i++)
+        if (x[i] == 1.0) plus[n_plus++] = i;
+        else minus[n_minus++] = i;
     for (int64_t t = 0; t < n; t++) {
         const int64_t a = take_plus[t], b = take_minus[t];
         const int64_t i = plus[a], j = minus[b];   /* x_i = +1, x_j = -1 */

@@ -64,12 +64,12 @@ class LocalField:
     there are none.
 
     The point and the field are the model's workspace buffers
-    (comex.walk_kernel.Workspace), so the next LocalField built from the
-    same model overwrites them; `walk` returns a copy of its point.
+    (comex.walk_kernel.Workspace): the model's next LocalField overwrites
+    them and its next update the point, so `walk` returns a copy of it.
     """
 
     def __init__(self, model: MonomialSurrogate, x):
-        basis, ws = model.basis, model.workspace()
+        basis, ws = model.basis, model.workspace
         ws.x[:] = basis.point(x)
         self.basis, self._ws = basis, ws
         self._high = basis.padded[basis.high_start:]
@@ -89,8 +89,7 @@ class LocalField:
         self._A.fill(0.0)
         self._A[rows, cols] = self._A[cols, rows] = a[pairs]
         self._h[:] = a[1:1 + d] + ordered_sum(self._A * self.x, axis=1)
-        x_aug = np.append(self.x, 1.0)
-        self._c[:] = a[self.basis.high_start:] * np.prod(x_aug[self._high], axis=1)
+        self._c[:] = a[self.basis.high_start:] * np.prod(self._ws.x_aug[self._high], axis=1)
         self._g[:] = np.bincount(self._high.ravel(), minlength=d + 1,
                                  weights=np.repeat(self._c, self.basis.m))
 
@@ -120,9 +119,10 @@ class LocalField:
 
         The randomness is drawn before the walk, one rng call per array:
         first the moves (unconstrained: the coordinate to flip; sum-
-        constrained: a position in the list `plus` of +1 coordinates, then a
-        position in the list `minus` of -1 coordinates, whose entries trade
-        places when the swap is accepted), then one uniform u per proposal.
+        constrained: a position in the list of the n +1 coordinates, then
+        one in that of the d - n -1 coordinates, lists the walk builds
+        ascending from the point and whose entries trade places on an
+        accepted swap), then one uniform u per proposal.
         A proposal is accepted when its delta is at most
         -temperature * log(1 - u): always when it does not raise the
         surrogate, otherwise with probability exp(-delta / temperature).
@@ -138,22 +138,20 @@ class LocalField:
         self.accepted = 0
         if n_iters <= 0:
             return self.x.copy()
-        if isinstance(constraint, SumConstrained):
-            plus, minus = np.flatnonzero(self.x == 1.0), np.flatnonzero(self.x == -1.0)
-            moves = (plus, minus, rng.integers(plus.size, size=n_iters),
-                     rng.integers(minus.size, size=n_iters))
+        swaps = isinstance(constraint, SumConstrained)
+        if swaps:
+            moves = (rng.integers(constraint.n, size=n_iters),
+                     rng.integers(constraint.d - constraint.n, size=n_iters))
         else:
-            moves = (rng.integers(self.basis.d, size=n_iters),)
+            moves = (rng.integers(constraint.d, size=n_iters),)
         limits = temperature * -np.log1p(-rng.random(n_iters))
         library = walk_kernel.load()
         if library is not None:     # the draw arrays are contiguous; the rest is bound
-            run = library.flip_walk if len(moves) == 1 else library.swap_walk
+            run = library.swap_walk if swaps else library.flip_walk
             self.accepted = run(self._ws.address, n_iters,
                                 *(a.ctypes.data for a in (*moves, limits)))
-        elif len(moves) == 1:
-            self.accepted = self._flip_walk(*moves, limits)
         else:
-            self.accepted = self._swap_walk(*moves, limits)
+            self.accepted = (self._swap_walk if swaps else self._flip_walk)(*moves, limits)
         return self.x.copy()
 
     def _flip_walk(self, flips: np.ndarray, limits: np.ndarray) -> int:
@@ -178,32 +176,30 @@ class LocalField:
         self.x[:] = x
         return accepted
 
-    def _swap_walk(self, plus: np.ndarray, minus: np.ndarray, take_plus: np.ndarray,
-                   take_minus: np.ndarray, limits: np.ndarray) -> int:
+    def _swap_walk(self, take_plus: np.ndarray, take_minus: np.ndarray,
+                   limits: np.ndarray) -> int:
         """+1/-1 swaps in Python: the reference of swap_walk."""
-        h, g = self._h, self._g
+        h, g, x = self._h, self._g, self.x
         h_at = h.item
         rows = list(2.0 * self._A)
         quad = (4.0 * self._A).tolist()
         high = self._c.size > 0
-        plus_at, minus_at = plus.tolist(), minus.tolist()
+        plus, minus = np.flatnonzero(x == 1.0).tolist(), np.flatnonzero(x == -1.0).tolist()
         accepted = 0
         for a, b, limit in zip(take_plus.tolist(), take_minus.tolist(), limits.tolist()):
-            i, j = plus_at[a], minus_at[b]      # x_i = +1, x_j = -1
+            i, j = plus[a], minus[b]            # x_i = +1, x_j = -1
             delta = 2.0 * (h_at(j) - h_at(i)) - quad[i][j]
             if high:
                 delta += 4.0 * self._pair_sum(i, j) - 2.0 * (g[i] + g[j])
             if delta <= limit:
-                plus_at[a], minus_at[b] = j, i
+                plus[a], minus[b] = j, i
+                x[i], x[j] = -1.0, 1.0
                 h -= rows[i]
                 h += rows[j]
                 if high:
                     self._negate_high(i)
                     self._negate_high(j)
                 accepted += 1
-        plus[:], minus[:] = plus_at, minus_at
-        self.x[:] = -1.0
-        self.x[plus] = 1.0
         return accepted
 
 

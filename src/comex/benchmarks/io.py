@@ -57,8 +57,12 @@ def load_instance(path):
     """Build the instance a file holds. A missing or unknown key, or an int or
     float field of the wrong type (see registry.as_scalar), is a ValueError
     naming the file and the key; so is any parameter the class's
-    constructor rejects."""
-    data = _decode(json.loads(Path(path).read_text()))
+    constructor rejects. Text that is not JSON is a ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    data = _decode(doc)
     kind = data.pop("kind", None) if isinstance(data, dict) else None
     if not isinstance(kind, str) or kind not in PROBLEMS:
         raise ValueError(f"{path}: unknown instance kind {kind!r}")

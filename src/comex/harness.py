@@ -105,12 +105,15 @@ class ExperimentConfig:
 def build_problem(config: ExperimentConfig):
     """Materialize the benchmark instance and its scaled oracle. An instance
     file must hold an instance of `config.problem`, and takes no problem
-    parameters."""
+    parameters and no instance seed (the default 0 counts as none)."""
     path = config.instance_file
     if path:
         if config.problem_params:
             raise ValueError(f"{path}: an instance file takes no problem parameters, "
                              f"got {', '.join(config.problem_params)}")
+        if config.instance_seed:
+            raise ValueError(f"{path}: an instance file takes no instance seed, "
+                             f"got {config.instance_seed}")
         problem = load_instance(path)
         if kind_of(problem) != config.problem:
             raise ValueError(f"{path}: is an instance of {kind_of(problem)!r}, "

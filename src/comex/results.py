@@ -133,7 +133,8 @@ def summarize(traces: list[RunTrace]) -> Summary:
 
     Shorter (wall-clock-truncated) traces are padded by carrying the last
     regret forward; padding is counted in n_padded. Step times cover the
-    algorithm only (acquisition + model update), never the oracle.
+    algorithm only (acquisition + model update), never the oracle, and each
+    step's is averaged over the runs that reached it.
     """
     if not traces:
         raise ValueError("cannot summarize an empty list of traces")
@@ -144,7 +145,7 @@ def summarize(traces: list[RunTrace]) -> Summary:
         for t in traces
     ])
     times = np.stack([
-        np.concatenate([t.algorithm_times(), np.zeros(length - len(t))])
+        np.concatenate([t.algorithm_times(), np.full(length - len(t), np.nan)])
         for t in traces
     ])
     n = len(traces)
@@ -153,7 +154,7 @@ def summarize(traces: list[RunTrace]) -> Summary:
         n_runs=n,
         mean_regret=regrets.mean(axis=0),
         stderr=stderr,
-        mean_step_time_s=times.mean(axis=0),
+        mean_step_time_s=np.nanmean(times, axis=0),
         final_regrets=np.array([t.final_regret for t in traces]),
         n_padded=n_padded,
     )

@@ -114,17 +114,16 @@ class MonomialSurrogate:
             raise ValueError(f"sparsity mass must be positive and finite, got {sparsity!r}")
         self.basis = basis
         self.sparsity = float(sparsity)
+        self.workspace = walk_kernel.Workspace(basis)
         # Uniform prior of total mass 1; the first update renormalizes to the
         # sparsity mass. All signed coefficients start at exactly 0.
-        self.w = np.full(2 * basis.p, 1.0 / (2 * basis.p))
+        self.w.fill(1.0 / (2 * basis.p))
         self.lr = LearningRateSchedule(learning_rate)
 
-    def workspace(self) -> walk_kernel.Workspace:
-        """The kernel buffers bound to w, which update changes in place; made
-        on first use and again when w is replaced (copy, load)."""
-        if getattr(self, "_workspace", None) is None or self._workspace.w is not self.w:
-            self._workspace = walk_kernel.Workspace(self.basis, self.w)
-        return self._workspace
+    @property
+    def w(self) -> np.ndarray:
+        """The 2p weights, the workspace's buffer: written in place, never replaced."""
+        return self.workspace.w
 
     @property
     def w_plus(self) -> np.ndarray:
@@ -163,8 +162,8 @@ class MonomialSurrogate:
         fx = float(fx)
         if not math.isfinite(fx):
             raise ValueError("oracle value must be finite")
-        ws = self.workspace()
-        ws.x_aug[:-1] = self.basis.point(x)
+        ws = self.workspace
+        ws.x[:] = self.basis.point(x)
         eta = self.lr.current(self.basis.p, self.sparsity)
         library = walk_kernel.load()
         if library is not None:
@@ -204,10 +203,8 @@ class MonomialSurrogate:
         return 0
 
     def copy(self) -> "MonomialSurrogate":
-        out = MonomialSurrogate.__new__(MonomialSurrogate)
-        out.basis = self.basis
-        out.sparsity = self.sparsity
-        out.w = self.w.copy()
+        out = MonomialSurrogate(self.basis, self.sparsity)
+        out.w[:] = self.w
         out.lr = self.lr.copy()
         return out
 
@@ -292,5 +289,5 @@ class MonomialSurrogate:
         lr.v = read("lr_v", nonnegative)
         w = np.concatenate([read("w_plus", weights), read("w_minus", weights)])
         model = cls(MonomialBasis(d, m), sparsity)
-        model.lr, model.w = lr, w
+        model.lr, model.w[:] = lr, w
         return model

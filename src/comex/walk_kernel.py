@@ -37,9 +37,9 @@ _SIGNATURES = {      # name: (argument types after the workspace, result type)
     "surrogate_update": ([_F64, _F64, _F64, _F64], _I64),
     "field_build": ([], None),
     "flip_walk": ([_I64, _PTR, _PTR], _I64),
-    "swap_walk": ([_I64, _PTR, _PTR, _PTR, _PTR, _PTR], _I64),
+    "swap_walk": ([_I64, _PTR, _PTR, _PTR], _I64),
 }
-_BUFFERS = ("w", "psi", "x_aug", "stats", "x", "A", "h", "c", "g")
+_BUFFERS = ("w", "psi", "x_aug", "stats", "A", "h", "c", "g")
 _TABLES = ("padded", "high_ptr", "high_index")
 
 
@@ -51,18 +51,16 @@ class _Struct(ctypes.Structure):
 
 class Workspace:
     """One model's weights w, kernel buffers and basis tables, their
-    addresses taken once, in `address`. The update reads x_aug (x, then
-    1.0) and writes psi and stats (loss, var_increment, z_range); a
-    LocalField's point and field are x, A, h, c and g, so each LocalField
-    built from the model overwrites the last one's."""
+    addresses taken once, in `address`; a model keeps one for life. x is
+    the view x_aug[:d] (x_aug[d] stays 1.0). The update writes w, psi and
+    stats (loss, var_increment, z_range) from x; a LocalField's point and
+    field are x, A, h, c and g, so each LocalField or update overwrites them."""
 
-    def __init__(self, basis, w: np.ndarray):
+    def __init__(self, basis):
         d, p = basis.d, basis.p
-        if w.shape != (2 * p,) or w.dtype != np.float64 or not w.flags.c_contiguous:
-            raise ValueError(f"w must be {2 * p} contiguous float64 weights, got {w.shape}")
-        self.basis, self.w = basis, w
+        self.basis, self.w = basis, np.empty(2 * p)
         self.psi, self.x_aug, self.stats = np.empty(p), np.ones(d + 1), np.empty(3)
-        self.x, self.A, self.h = np.empty(d), np.zeros((d, d)), np.empty(d)
+        self.x, self.A, self.h = self.x_aug[:d], np.zeros((d, d)), np.empty(d)
         self.c, self.g = np.empty(p - basis.high_start), np.zeros(d + 1)
         self._struct = _Struct(d, p, basis.m, self.c.size,
                                *(getattr(self, name).ctypes.data for name in _BUFFERS),

@@ -343,6 +343,14 @@ def test_instance_file_errors_name_the_file_and_the_key(tmp_path, edit, named):
         load_instance(path)
 
 
+def test_a_truncated_instance_file_error_names_the_file(tmp_path):
+    path = tmp_path / "ising.json"
+    save_instance(ising_make(np.random.default_rng(8), rows=2, cols=2), path)
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*line \d+ column \d+"):
+        load_instance(path)
+
+
 def test_instance_float_field_takes_an_integer(tmp_path):
     path = tmp_path / "nqueens.json"
     path.write_text('{"kind": "nqueens", "n": 4, "noise_sigma": 0}')

@@ -139,6 +139,7 @@ def test_instance_file_with_a_bad_edge_exits_one_naming_it(tmp_path, capsys, edg
 @pytest.mark.parametrize("flags, message", [
     ([], "is an instance of 'ising', not of the problem 'contamination'"),
     (["--problem", "ising", "--d", "5"], "an instance file takes no problem parameters, got d"),
+    (["--problem", "ising", "--instance-seed", "7"], "an instance file takes no instance seed, got 7"),
 ])
 def test_instance_file_must_be_of_the_problem_and_take_no_parameters(tmp_path, capsys,
                                                                      flags, message):

@@ -105,6 +105,14 @@ def test_summary_pads_truncated_traces():
     assert summary.mean_regret[3] == pytest.approx((0.5 + 0.9) / 2)
 
 
+def test_summary_step_time_averages_the_runs_that_reached_each_step():
+    short = make_trace([0.5, -0.1], times=[1.0] * 2)
+    long = make_trace([0.5, 0.0, -0.5, -0.5], times=[1.0] * 4)
+    summary = summarize([short, long])
+    assert summary.mean_step_time_s.tolist() == [1.0] * 4
+    assert summary.mean_algorithm_time_per_step == 1.0
+
+
 def test_summary_rejects_empty_input():
     with pytest.raises(ValueError):
         summarize([])

@@ -233,17 +233,19 @@ def test_the_update_loss_is_the_prediction_error(native_walk, d, m, seed):
         assert model.predict(x) - fx == model.update(x, fx).loss
 
 
-def test_a_replaced_weight_vector_gets_a_fresh_workspace():
+def test_a_model_keeps_one_workspace_and_stores_the_point_once():
     rng = np.random.default_rng(1)
     model = random_model(rng, n_updates=2)
-    first = model.workspace()
-    assert model.workspace() is first
-    model.w = model.w.copy()
-    assert model.workspace() is not first and model.workspace().w is model.w
-    assert model.copy().workspace() is not model.workspace()
-    model.w = np.ones(3)
-    with pytest.raises(ValueError, match=re.escape("w must be 44 contiguous float64 weights")):
-        model.update(np.ones(6), 0.5)
+    ws, w = model.workspace, model.w.copy()
+    clone = model.copy()
+    assert clone.workspace is not ws and np.array_equal(clone.w, w)
+    clone.update(np.ones(6), 0.5)                  # the copy's weights are its own
+    assert np.array_equal(model.w, w) and not np.array_equal(clone.w, w)
+    with pytest.raises(AttributeError):
+        model.w = w
+    model.update(np.ones(6), 0.5)
+    assert model.workspace is ws and model.w is ws.w
+    assert np.shares_memory(ws.x, ws.x_aug) and ws.x_aug[-1] == 1.0
 
 
 def test_update_rejects_non_finite_values():

@@ -146,3 +146,19 @@ def test_the_struct_declares_the_c_workspace_fields_in_order():
             scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[ctype]
             declared.append((name.lstrip("*"), ctypes.c_void_p if "*" in name else scalar))
     assert declared == walk_kernel._Struct._fields_
+
+
+def test_the_signatures_declare_the_exported_c_prototypes():
+    """_SIGNATURES and the exported C functions must agree, or ctypes passes
+    wrong arguments with no error: the workspace pointer first, then each
+    argument's kind, and the result type."""
+    source = Path(walk_kernel.SOURCE).read_text()
+    kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
+    declared = {}
+    for result, name, params in re.findall(r"^(\w+) (\w+)\(([^)]*)\)\s*\{", source, re.M):
+        args = [re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*\w+\s*", param).groups()
+                for param in params.split(",")]
+        assert args[0] == ("Workspace", "*"), name
+        declared[name] = ([ctypes.c_void_p if star else kinds[ctype] for ctype, star in args[1:]],
+                          kinds[result])
+    assert declared == walk_kernel._SIGNATURES
