@@ -9,13 +9,13 @@ acquisition walk on the learned surrogate.
 import numpy as np
 
 from comex import (
-    LocalField,
     MonomialBasis,
     MonomialSurrogate,
     TrueCoefficients,
     Unconstrained,
     kl_divergence,
     sample_uniform,
+    walk,
 )
 
 rng = np.random.default_rng(1)
@@ -52,8 +52,7 @@ for i in top:
 print("\nthe acquisition walk scores each move from a local field it keeps up")
 print("to date; at a low temperature it walks downhill on the surrogate:")
 x = sample_uniform(cube, rng)
-field = LocalField(model, x)
 n_iters = 20 * d
-y = field.walk(cube, temperature=1e-3, n_iters=n_iters, rng=rng)
+y, accepted = walk(model, x, cube, temperature=1e-3, n_iters=n_iters, rng=rng)
 print(f"predict(start) = {model.predict(x):+.6f}")
-print(f"predict(end)   = {model.predict(y):+.6f}  ({field.accepted}/{n_iters} moves accepted)")
+print(f"predict(end)   = {model.predict(y):+.6f}  ({accepted}/{n_iters} moves accepted)")

@@ -8,7 +8,7 @@ baselines, an experiment harness with a CLI (see `comex --help`), and the
 theory audits of the update and of the acquisition (`comex.audits`).
 """
 
-from .acquisition import AnnealSchedule, LocalField, propose_query
+from .acquisition import AnnealSchedule, propose_query, walk
 from .audits import (
     BoltzmannPmf,
     TrueCoefficients,

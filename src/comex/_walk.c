@@ -1,21 +1,22 @@
-/* Native comex step on one model's workspace (comex.walk_kernel.Workspace):
-   surrogate_update is MonomialSurrogate._update_reference, field_build is
-   LocalField._build_reference, and flip_walk and swap_walk are
-   LocalField._flip_walk and _swap_walk. Each does the floating-point
-   operations of its Python reference in the same order, every sum one term
-   at a time from 0.0 in index order, so with -ffp-contract=off (no fused
-   multiply-add) and without -ffast-math (no reassociation) the results are
-   bit-identical to it.
+/* Native comex step on one model's workspace (comex.walk_kernel.Workspace).
+   Three functions are exported: surrogate_update, flip_walk and swap_walk.
+   Each of them, and field_build, pair_sum and negate_high, has a Python
+   twin of the same name with a leading underscore in comex.walk_kernel,
+   its reference. The two do the same floating-point operations in the
+   same order, every sum one term at a time from 0.0 in index order, so
+   with -ffp-contract=off (no fused multiply-add) and without -ffast-math
+   (no reassociation) their results are bit-identical.
 
-   The walks consume the draws LocalField.walk makes (the moves, then the
-   acceptance limits -T log1p(-u)), update the point x_aug[:d], the field h,
-   the degree >= 3 contributions c and their per-coordinate sums g in place,
-   and return the number of accepted proposals. swap_walk builds the +1 and
-   -1 coordinate lists its moves index, ascending, from the point. The basis
-   tables are those of comex.basis.MonomialBasis; terms are padded with the
-   index d, whose x_aug entry is always 1.0 and whose g slot is never read.
-   Terms are addressed by range: term 1 + i is coordinate i, the pairs
-   follow, and the last n_high terms have degree >= 3. */
+   The walks take the draws comex.acquisition.walk makes (the moves, then
+   the acceptance limits -T log1p(-u)). Each builds the field A, h, c, g
+   at the point x_aug[:d] first, then walks, updating the point, h, the
+   degree >= 3 contributions c and their per-coordinate sums g in place,
+   and returns the number of accepted proposals. swap_walk builds the +1
+   and -1 coordinate lists its moves index, ascending, from the point. The
+   basis tables are those of comex.basis.MonomialBasis; terms are padded
+   with the index d, whose x_aug entry is always 1.0 and whose g slot is
+   never read. Terms are addressed by range: term 1 + i is coordinate i,
+   the pairs follow, and the last n_high terms have degree >= 3. */
 
 #include <math.h>
 #include <stdint.h>
@@ -46,12 +47,8 @@ static double coefficient(const Workspace *ws, int64_t t) { return ws->w[t] - ws
 static double loss_quantity(const Workspace *ws, int64_t i, double k)
 { return i < ws->p ? k * ws->psi[i] : -(k * ws->psi[i - ws->p]); }
 
-/* One observation step on the weights w: the features psi at x_aug, the
-   prediction, the step-size statistics, then every weight times 1 or r and
-   the renormalisation to mass `sparsity`. stats receives (loss,
-   var_increment, z_range). Returns 0 when the weights were updated; 1 when
-   the statistics overflow and 2 when the reweighted mass is too small to
-   renormalise, in which cases nothing but psi and stats was written. */
+/* One observation step on the weights w at x_aug, with its status, as
+   comex.walk_kernel.surrogate_update describes it. */
 int64_t surrogate_update(const Workspace *ws, double fx, double eta, double sparsity, double v)
 {
     const int64_t p = ws->p, n = 2 * p;
@@ -83,7 +80,7 @@ int64_t surrogate_update(const Workspace *ws, double fx, double eta, double spar
 }
 
 /* A, h, c and g at the point x_aug[:d] for the coefficients w_plus - w_minus. */
-void field_build(const Workspace *ws)
+static void field_build(const Workspace *ws)
 {
     const int64_t d = ws->d, m = ws->m, high_start = ws->p - ws->n_high;
     memset(ws->A, 0, d * d * sizeof(double));
@@ -105,7 +102,7 @@ void field_build(const Workspace *ws)
 }
 
 /* Sum of c_I over the degree >= 3 terms containing both i and j, in term
-   order from 0.0, as LocalField._pair_sum. */
+   order from 0.0. */
 static double pair_sum(const Workspace *ws, int64_t i, int64_t j)
 {
     double s = 0.0;
@@ -121,8 +118,7 @@ static double pair_sum(const Workspace *ws, int64_t i, int64_t j)
 }
 
 /* Negate c_I for the terms containing k, one term at a time in term order,
-   and subtract 2 * (old c_I) from g at each of the term's coordinates, as
-   LocalField._negate_high. */
+   and subtract 2 * (old c_I) from g at each of the term's coordinates. */
 static void negate_high(const Workspace *ws, int64_t k)
 {
     for (int64_t q = ws->high_ptr[k]; q < ws->high_ptr[k + 1]; q++) {
@@ -138,6 +134,7 @@ int64_t flip_walk(const Workspace *ws, int64_t n, const int64_t *flips, const do
     const int64_t d = ws->d;
     double *x = ws->x_aug, *h = ws->h;
     int64_t accepted = 0;
+    field_build(ws);
     for (int64_t t = 0; t < n; t++) {
         const int64_t i = flips[t];
         const double xi = x[i];
@@ -161,6 +158,7 @@ int64_t swap_walk(const Workspace *ws, int64_t n, const int64_t *take_plus,
     const double *A = ws->A;
     double *x = ws->x_aug, *h = ws->h;
     int64_t plus[d], minus[d], n_plus = 0, n_minus = 0, accepted = 0;
+    field_build(ws);
     for (int64_t i = 0; i < d; i++)
         if (x[i] == 1.0) plus[n_plus++] = i;
         else minus[n_minus++] = i;

@@ -25,7 +25,7 @@ class MonomialBasis:
     next C(d, 2) the pairs and the rest, from `high_start` on, the terms of
     degree >= 3. `padded` holds each term's coordinates padded with the
     index d. For the acquisition walk's local field (see
-    comex.acquisition.LocalField) the basis also stores, per coordinate,
+    comex.acquisition.walk) the basis also stores, per coordinate,
     the positions among the degree >= 3 terms of those containing it, as
     one CSR table. Every index array is read-only, so a basis can be shared
     (see enumerate_basis).

@@ -61,6 +61,10 @@ class ContaminationProblem:
             raise ValueError(f"u must be finite, got {self.u!r}")
         if self.costs.shape != (self.d,):
             raise ValueError("one cost per stage required")
+        weights = [(f"costs[{i}]", c) for i, c in enumerate(self.costs.tolist())]
+        for name, value in weights + [("rho", self.rho), ("lambda_reg", self.lambda_reg)]:
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
         if self.rates_a.shape != (self.d, n_paths) or self.rates_b.shape != (self.d, n_paths):
             raise ValueError("rate arrays must be (d, n_paths)")
         for arr in (self.init_z, self.rates_a, self.rates_b):

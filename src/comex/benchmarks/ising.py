@@ -104,6 +104,8 @@ class IsingProblem:
         n = self.n_nodes
         if n > MAX_NODES:
             raise ValueError(f"exact enumeration refused for more than {MAX_NODES} nodes")
+        if not 0 <= self.lambda_reg < math.inf:
+            raise ValueError(f"lambda_reg must be nonnegative and finite, got {self.lambda_reg!r}")
         self.edges = [_node_pair(e, n) for e in self.edges]
         if not self.edges:
             raise ValueError(f"edges must be nonempty, got none on a "

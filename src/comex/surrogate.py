@@ -32,18 +32,10 @@ __all__ = [
     "LearningRateSchedule",
     "UpdateDiagnostics",
     "MonomialSurrogate",
-    "ordered_sum",
 ]
 
 # Constant in the anytime step-size schedule: sqrt(2(sqrt(2)-1)/(e-2)).
 ADAPTIVE_C = math.sqrt(2.0 * (math.sqrt(2.0) - 1.0) / (math.e - 2.0))
-
-
-def ordered_sum(values: np.ndarray, axis: int = -1):
-    """Sum along `axis` one term at a time from 0.0 in index order, as the
-    native kernel does (ndarray.sum adds pairwise). + 0.0 turns cumsum's
-    -0.0 for all -0.0 terms into the +0.0 of a sum started at 0.0."""
-    return np.cumsum(values, axis=axis)[..., -1] + 0.0
 
 
 def _dyadic_ceil(r: float) -> float:
@@ -143,7 +135,7 @@ class MonomialSurrogate:
     def predict(self, x) -> float:
         """Surrogate value at x, summed as update sums it; always within
         +/- total weight mass."""
-        return float(ordered_sum(self.coefficients * self.basis.features(x)))
+        return float(walk_kernel.ordered_sum(self.coefficients * self.basis.features(x)))
 
     def update(self, x, fx: float) -> UpdateDiagnostics:
         """One observation step: reweight all experts and renormalize.
@@ -156,8 +148,7 @@ class MonomialSurrogate:
         pre-update weights normalized to sum 1. They are computed first: an
         observation whose statistics overflow, or one that leaves no mass to
         renormalize, is a ValueError, raised before the weights or the step
-        size change. The arithmetic runs in the native kernel
-        (comex.walk_kernel) or in `_update_reference`, bit for bit alike.
+        size change. The arithmetic is comex.walk_kernel.surrogate_update.
         """
         fx = float(fx)
         if not math.isfinite(fx):
@@ -165,11 +156,7 @@ class MonomialSurrogate:
         ws = self.workspace
         ws.x[:] = self.basis.point(x)
         eta = self.lr.current(self.basis.p, self.sparsity)
-        library = walk_kernel.load()
-        if library is not None:
-            status = library.surrogate_update(ws.address, fx, eta, self.sparsity, self.lr.v)
-        else:
-            status = self._update_reference(ws, fx, eta)
+        status = walk_kernel.surrogate_update(ws, fx, eta, self.sparsity, self.lr.v)
         if status:
             reason = ("overflows the step-size statistics" if status == 1 else
                       f"leaves no weight to renormalize at step size {eta!r}")
@@ -177,30 +164,6 @@ class MonomialSurrogate:
         loss, var_increment, z_range = ws.stats.tolist()
         self.lr.advance(z_range, var_increment)
         return UpdateDiagnostics(loss, eta)
-
-    def _update_reference(self, ws: walk_kernel.Workspace, fx: float, eta: float) -> int:
-        """update's arithmetic in numpy, the reference of the kernel's
-        surrogate_update, with its status (0 updated, 1 overflow, 2 no mass)."""
-        p, w = self.basis.p, self.w
-        ws.psi[:] = np.prod(ws.x_aug[self.basis.padded], axis=1)
-        loss = float(ordered_sum((w[:p] - w[p:]) * ws.psi)) - fx
-        k = -2.0 * self.sparsity * loss
-        z = np.concatenate([k * ws.psi, -(k * ws.psi)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_pre = w / ordered_sum(w)
-            z_bar = ordered_sum(w_pre * z)
-            var_increment = float(ordered_sum(w_pre * (z - z_bar) ** 2))
-        z_range = 4.0 * self.sparsity * abs(loss)
-        ws.stats[:] = loss, var_increment, z_range
-        if not (math.isfinite(z_range) and math.isfinite(self.lr.v + var_increment)):
-            return 1
-        reweighted = np.where(z < 0.0, w * math.exp(-2.0 * abs(eta * k)), w)
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = self.sparsity / ordered_sum(reweighted)
-        if not math.isfinite(scale):
-            return 2
-        w[:] = reweighted * scale
-        return 0
 
     def copy(self) -> "MonomialSurrogate":
         out = MonomialSurrogate(self.basis, self.sparsity)

@@ -16,3 +16,9 @@ def native_walk():
 def python_walk(monkeypatch):
     """Force the Python walk, the kernel's reference and fallback."""
     monkeypatch.setattr(walk_kernel, "load", lambda: None)
+
+
+@pytest.fixture(params=["native_walk", "python_walk"])
+def walk_path(request):
+    """Each walk path in turn: the native kernel, then the Python walk."""
+    return request.getfixturevalue(request.param)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from comex import walk_kernel
-from comex.acquisition import AnnealSchedule, LocalField, propose_query
+from comex.acquisition import AnnealSchedule, propose_query, walk
 from comex.audits import exponential_acquisition_audit, exponential_pmf, pmf_kl
 from comex.basis import MonomialBasis
 from comex.domain import (
@@ -52,7 +52,7 @@ def walk_case(d, m, constrained, seed):
 
 
 def literal_walk(model, constraint, temperature, n_iters, x, rng):
-    """Reference walk: the batched draws of LocalField.walk, every candidate
+    """Reference walk: the batched draws of acquisition.walk, every candidate
     scored with model.predict and accepted by the textbook Metropolis rule."""
     x = np.array(x, dtype=np.float64)
     if isinstance(constraint, SumConstrained):
@@ -87,13 +87,14 @@ walk_cases = (st.integers(3, 9), st.sampled_from([1, 2, 3]), st.booleans(),
 @settings(max_examples=80, deadline=None)
 def test_walked_field_equals_a_fresh_field_at_its_point(d, m, constrained, seed):
     rng, model, constraint, temperature = walk_case(d, m, constrained, seed)
-    field = LocalField(model, sample_uniform(constraint, rng))
+    fresh, x = model.copy(), sample_uniform(constraint, rng)    # fresh: its own workspace
     for _ in range(3):
-        field.walk(constraint, temperature, int(rng.integers(1, 60)), rng)
-        assert contains(constraint, field.x)
-        fresh = LocalField(model.copy(), field.x)     # its own workspace, not field's
-        for name in ("_h", "_g", "_c"):
-            assert np.abs(getattr(field, name) - getattr(fresh, name)).max(initial=0.0) <= 1e-12
+        x, _ = walk(model, x, constraint, temperature, int(rng.integers(1, 60)), rng)
+        assert contains(constraint, x) and np.array_equal(x, model.workspace.x)
+        walk(fresh, x, constraint, temperature, 0, rng)          # the field alone
+        for name in ("h", "g", "c"):
+            walked, built = getattr(model.workspace, name), getattr(fresh.workspace, name)
+            assert np.abs(walked - built).max(initial=0.0) <= 1e-12
 
 
 # The walk-path fixtures patch the loader once per test, not per example.
@@ -118,7 +119,7 @@ def check_walk_matches_literal_reference(d, m, constrained, seed, n_chains):
     x0 = sample_uniform(constraint, rng)
     n_iters = 15 * d
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fast = LocalField(model, x0).walk(constraint, temperature, n_iters, fast_rng)
+    fast, _ = walk(model, x0, constraint, temperature, n_iters, fast_rng)
     slow = literal_walk(model, constraint, temperature, n_iters, x0, slow_rng)
     assert np.array_equal(fast, slow)
     assert fast_rng.random() == slow_rng.random()   # the same draws consumed
@@ -135,10 +136,10 @@ def check_walk_matches_literal_reference(d, m, constrained, seed, n_chains):
     assert np.array_equal(fast, min(finals, key=model.predict))
 
 
-def walk_state(field, rng):
-    """Everything a walk leaves behind, as bytes and ints."""
-    return (field.x.tobytes(), field._h.tobytes(), field._g.tobytes(), field._c.tobytes(),
-            field.accepted, str(rng.bit_generator.state))
+def walk_state(ws, accepted, rng):
+    """Everything walks leave behind, as bytes and ints."""
+    return (*(a.tobytes() for a in (ws.x, ws.A, ws.h, ws.g, ws.c)), accepted,
+            str(rng.bit_generator.state))
 
 
 @given(*walk_cases)
@@ -151,10 +152,11 @@ def test_native_walk_matches_python_walk(native_walk, monkeypatch, d, m, constra
     states = []
     for library in (native_walk, None):
         monkeypatch.setattr(walk_kernel, "load", lambda library=library: library)
-        field, walk_rng = LocalField(model, x0), np.random.default_rng(seed)
+        x, accepted, walk_rng = x0, [], np.random.default_rng(seed)
         for walk_temperature, n_iters in walks:
-            field.walk(constraint, walk_temperature, n_iters, walk_rng)
-        states.append(walk_state(field, walk_rng))
+            x, n = walk(model, x, constraint, walk_temperature, n_iters, walk_rng)
+            accepted.append(n)
+        states.append(walk_state(model.workspace, accepted, walk_rng))
     assert states[0] == states[1]
 
 
@@ -163,35 +165,32 @@ def test_native_walk_matches_python_walk(native_walk, monkeypatch, d, m, constra
 def test_native_field_build_matches_the_reference(native_walk, monkeypatch, d, m, constrained,
                                                   seed):
     _, model, constraint, _ = walk_case(d, m, constrained, seed)
-    x = sample_uniform(constraint, np.random.default_rng(seed))
+    x, ws = sample_uniform(constraint, np.random.default_rng(seed)), model.workspace
     fields = []
     for library in (native_walk, None):
         monkeypatch.setattr(walk_kernel, "load", lambda library=library: library)
-        field = LocalField(model, x)
-        fields.append([a.tobytes() for a in (field.x, field._A, field._h, field._c, field._g)])
+        for stale in (ws.A, ws.h, ws.c, ws.g):
+            stale.fill(np.nan)
+        assert walk(model, x, constraint, 1.0, 0, np.random.default_rng(seed))[1] == 0
+        fields.append([a.tobytes() for a in (ws.x, ws.A, ws.h, ws.c, ws.g)])
     assert fields[0] == fields[1]
 
 
-@pytest.mark.parametrize("walk_path", ["native_walk", "python_walk"])
-def test_a_second_field_from_one_model_leaves_the_first_point(request, walk_path):
-    request.getfixturevalue(walk_path)
+def test_a_second_field_from_one_model_leaves_the_first_point(walk_path):
     rng, model, constraint, temperature = walk_case(8, 3, True, 4)
-    first = LocalField(model, sample_uniform(constraint, rng))
-    point = first.walk(constraint, temperature, 60, rng)
+    point, _ = walk(model, sample_uniform(constraint, rng), constraint, temperature, 60, rng)
     kept = point.copy()
-    second = LocalField(model, sample_uniform(constraint, rng))
-    second.walk(constraint, temperature, 60, rng)
+    second, _ = walk(model, sample_uniform(constraint, rng), constraint, temperature, 60, rng)
     assert np.array_equal(point, kept)
-    assert second.x is first.x          # the two share the model's workspace
+    assert np.array_equal(second, model.workspace.x)    # the workspace holds the last walk
+    assert not np.shares_memory(point, model.workspace.x_aug)
 
 
 def test_walk_counts_accepted_proposals():
     model = MonomialSurrogate(MonomialBasis(6, 2))     # constant: every proposal accepted
-    field = LocalField(model, np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]))
-    field.walk(SumConstrained(6, 2), 1.0, 25, np.random.default_rng(0))
-    assert field.accepted == 25
-    field.walk(SumConstrained(6, 2), 1.0, 0, np.random.default_rng(0))
-    assert field.accepted == 0
+    x, constraint = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]), SumConstrained(6, 2)
+    assert walk(model, x, constraint, 1.0, 25, np.random.default_rng(0))[1] == 25
+    assert walk(model, x, constraint, 1.0, 0, np.random.default_rng(0))[1] == 0
 
 
 def test_one_chain_proposal_calls_no_features(monkeypatch):
@@ -209,9 +208,21 @@ def test_one_chain_proposal_calls_no_features(monkeypatch):
 
 def test_walk_rejects_a_point_outside_the_constraint():
     model = MonomialSurrogate(MonomialBasis(4, 2))
-    field = LocalField(model, np.array([1.0, 1.0, 1.0, -1.0]))
     with pytest.raises(ValueError):
-        field.walk(SumConstrained(4, 2), 1.0, 5, np.random.default_rng(0))
+        walk(model, np.array([1.0, 1.0, 1.0, -1.0]), SumConstrained(4, 2), 1.0, 5,
+             np.random.default_rng(0))
+
+
+def test_walk_and_propose_query_reject_a_negative_n_iters():
+    model, constraint = MonomialSurrogate(MonomialBasis(4, 2)), SumConstrained(4, 2)
+    x, rng = np.array([1.0, 1.0, -1.0, -1.0]), np.random.default_rng(0)
+    with pytest.raises(ValueError, match="n_iters must be nonnegative, got -1"):
+        walk(model, x, constraint, 1.0, -1, rng)
+    with pytest.raises(ValueError, match="n_iters must be nonnegative, got -5"):
+        propose_query(model, constraint, AnnealSchedule(0.5, 4), -5, rng, x_init=x)
+    state = str(rng.bit_generator.state)
+    assert np.array_equal(walk(model, x, constraint, 1.0, 0, rng)[0], x)
+    assert str(rng.bit_generator.state) == state    # no proposal, no draw
 
 
 def test_propose_query_rejects_fewer_than_one_chain():

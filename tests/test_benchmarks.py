@@ -366,6 +366,46 @@ def test_contamination_rejects_degenerate_parameters(params, named):
         contamination_make(np.random.default_rng(0), **{"d": 5, **params})
 
 
+BAD_PENALTY_WEIGHTS = [
+    ("contamination", {"lambda_reg": -1.0}, "lambda_reg", "-1.0"),
+    ("contamination", {"lambda_reg": math.nan}, "lambda_reg", "nan"),
+    ("contamination", {"rho": -0.5}, "rho", "-0.5"),
+    ("contamination", {"rho": math.inf}, "rho", "inf"),
+    ("contamination", {"cost": math.nan}, "costs[0]", "nan"),
+    ("contamination", {"cost": -1.0}, "costs[0]", "-1.0"),
+    ("ising", {"lambda_reg": -1.0}, "lambda_reg", "-1.0"),
+    ("ising", {"lambda_reg": math.inf}, "lambda_reg", "inf"),
+]
+SMALL = {"contamination": {"d": 5, "n_paths": 4}, "ising": {"rows": 2, "cols": 2}}
+
+
+@pytest.mark.parametrize("kind, params, named, value", BAD_PENALTY_WEIGHTS)
+def test_make_problem_rejects_a_negative_or_nonfinite_penalty_weight(kind, params, named,
+                                                                      value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{named} must be nonnegative and finite, got {value}")):
+        make_problem(kind, {**SMALL[kind], **params}, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind, edit, named", [
+    ("contamination", lambda doc: doc.update(lambda_reg={"hex": (-1.0).hex()}), "lambda_reg"),
+    ("contamination", lambda doc: doc.update(rho={"hex": math.nan.hex()}), "rho"),
+    ("contamination", lambda doc: doc["costs"].__setitem__(2, {"hex": (-2.0).hex()}),
+     "costs[2]"),
+    ("ising", lambda doc: doc.update(lambda_reg={"hex": math.inf.hex()}), "lambda_reg"),
+])
+def test_instance_file_with_a_bad_penalty_weight_names_the_file_and_the_field(tmp_path, kind,
+                                                                              edit, named):
+    path = tmp_path / "instance.json"
+    save_instance(make_problem(kind, SMALL[kind], np.random.default_rng(8)), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=(f"^{re.escape(str(path))}: {re.escape(named)} "
+                                          "must be nonnegative and finite")):
+        load_instance(path)
+
+
 def repeat_first_edge(doc, reverse):
     doc["edges"].append(doc["edges"][0][::-1] if reverse else doc["edges"][0])
     doc["coupling"].append(doc["coupling"][0])

@@ -175,6 +175,22 @@ def test_contamination_size_below_one_exits_one_naming_it(capsys, flag, named):
     assert f"error: {named} must be at least 1, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--problem", "contamination", "--d", "5", "--lambda-reg", "-1"], "lambda_reg"),
+    (["--problem", "contamination", "--d", "5", "--lambda-reg", "-1.5"], "lambda_reg"),
+    (["--problem", "contamination", "--d", "5", "--cost", "nan"], "costs[0]"),
+    (["--problem", "contamination", "--d", "5", "--rho", "-2"], "rho"),
+    (["--problem", "ising", "--lambda-reg", "-1"], "lambda_reg"),
+])
+def test_a_negative_or_nonfinite_penalty_weight_exits_one_before_any_run(capsys, flags,
+                                                                         message):
+    code = main(["run", *flags, "--algo", "rs", "--budget", "3"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message} must be nonnegative and finite" in err
+
+
 def test_warm_start_flag_is_gone(capsys):
     assert main(["run", "--warm-start"]) == 2
     assert "--warm-start" in capsys.readouterr().err

@@ -55,7 +55,7 @@ def test_instance_file_bytes(tmp_path, kind):
 
 
 @pytest.mark.parametrize("problem, algorithm", sorted(RUNS))
-def test_run_json_and_summary_csv_bytes(tmp_path, problem, algorithm):
+def test_run_json_and_summary_csv_bytes(walk_path, tmp_path, problem, algorithm):
     params, expected_json, expected_csv = RUNS[(problem, algorithm)]
     config = ExperimentConfig(problem=problem, algorithm=algorithm, budget=5, seeds=(0, 1),
                               problem_params=params, instance_seed=2)
@@ -71,7 +71,7 @@ def test_run_json_and_summary_csv_bytes(tmp_path, problem, algorithm):
 
 
 @pytest.mark.parametrize("eta", sorted(CHECKPOINTS, key=str))
-def test_checkpoint_bytes(tmp_path, eta):
+def test_checkpoint_bytes(walk_path, tmp_path, eta):
     rng = np.random.default_rng(7)
     model = MonomialSurrogate(enumerate_basis(4, 2), 1.0, learning_rate=eta)
     for _ in range(3):

@@ -31,7 +31,7 @@ BUDGETS = {"comex": 6, "rs": 15, "sa": 15}
 
 # (queries, raw_values, scaled_values, regret) for seed 3 on instance seed 1.
 # The comex entries follow the acquisition walk's batched draws (all move
-# indices, then all uniforms, per chain; see LocalField.walk).
+# indices, then all uniforms, per chain; see acquisition.walk).
 GOLDEN = {
     ("contamination", "comex"): ("7bfa65dc10cb3afa", "5e86c2bada8f8145",
                                  "22f50e536eb63e2c", "1a10575096f09f6e"),

@@ -193,10 +193,13 @@ def test_native_update_matches_the_reference(native_walk, monkeypatch, d, m, spa
     assert states[0] == states[1]
 
 
-@pytest.mark.parametrize("walk_path", ["native_walk", "python_walk"])
-@pytest.mark.parametrize("eta", [None, 0.05])
-def test_an_overflowing_observation_leaves_the_model_unchanged(request, walk_path, eta):
-    request.getfixturevalue(walk_path)
+@pytest.fixture(params=[None, 0.05])
+def eta(request):
+    """The adaptive and a fixed step size (a fixture, so its id comes before walk_path's)."""
+    return request.param
+
+
+def test_an_overflowing_observation_leaves_the_model_unchanged(eta, walk_path):
     rng = np.random.default_rng(7)
     model = random_model(rng, n_updates=3, eta=eta)
     w, lr = model.w.copy(), repr(model.lr)
@@ -209,10 +212,7 @@ def test_an_overflowing_observation_leaves_the_model_unchanged(request, walk_pat
     assert np.array_equal(model.w, w) and repr(model.lr) == lr
 
 
-@pytest.mark.parametrize("walk_path", ["native_walk", "python_walk"])
-def test_an_observation_that_zeroes_every_weight_leaves_the_model_unchanged(request,
-                                                                           walk_path):
-    request.getfixturevalue(walk_path)
+def test_an_observation_that_zeroes_every_weight_leaves_the_model_unchanged(walk_path):
     model = MonomialSurrogate(MonomialBasis(1, 1), 1.0, learning_rate=1.0)
     x = np.array([1.0])
     model.update(x, 1000.0)             # every minus weight times exp(-4000), which is 0

@@ -2,6 +2,7 @@
 hash, race-free installs, and the fallback to the Python walk."""
 
 import ctypes
+import inspect
 import os
 import re
 import shutil
@@ -15,7 +16,7 @@ import pytest
 
 import comex
 from comex import walk_kernel
-from comex.acquisition import LocalField
+from comex.acquisition import walk
 from comex.basis import MonomialBasis
 from comex.domain import SumConstrained, Unconstrained, sample_uniform
 from comex.surrogate import MonomialSurrogate
@@ -49,9 +50,9 @@ def walk_results():
         model.update(sample_uniform(Unconstrained(7), rng), rng.uniform(-1.0, 1.0))
     results = []
     for constraint in (Unconstrained(7), SumConstrained(7, 3)):
-        field = LocalField(model, sample_uniform(constraint, rng))
-        x = field.walk(constraint, 0.2, 200, rng)
-        results.append((x.tobytes(), field._h.tobytes(), field._g.tobytes(), field.accepted))
+        x, accepted = walk(model, sample_uniform(constraint, rng), constraint, 0.2, 200, rng)
+        ws = model.workspace
+        results.append((x.tobytes(), ws.h.tobytes(), ws.g.tobytes(), accepted))
     return results
 
 
@@ -151,7 +152,9 @@ def test_the_struct_declares_the_c_workspace_fields_in_order():
 def test_the_signatures_declare_the_exported_c_prototypes():
     """_SIGNATURES and the exported C functions must agree, or ctypes passes
     wrong arguments with no error: the workspace pointer first, then each
-    argument's kind, and the result type."""
+    argument's kind, and the result type. Each exported function `name` is
+    called through walk_kernel.name, which falls back to its twin _name, and
+    both take the workspace `ws` first."""
     source = Path(walk_kernel.SOURCE).read_text()
     kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
     declared = {}
@@ -162,3 +165,7 @@ def test_the_signatures_declare_the_exported_c_prototypes():
         declared[name] = ([ctypes.c_void_p if star else kinds[ctype] for ctype, star in args[1:]],
                           kinds[result])
     assert declared == walk_kernel._SIGNATURES
+    for name in declared:
+        assert name in walk_kernel.__all__
+        for function in (getattr(walk_kernel, name), getattr(walk_kernel, f"_{name}")):
+            assert next(iter(inspect.signature(function).parameters)) == "ws", function
