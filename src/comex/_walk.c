@@ -1,11 +1,14 @@
-/* Native comex step on one model's workspace (comex.walk_kernel.Workspace).
-   Three functions are exported: surrogate_update, flip_walk and swap_walk.
-   Each of them, and field_build, pair_sum and negate_high, has a Python
-   twin of the same name with a leading underscore in comex.walk_kernel,
-   its reference. The two do the same floating-point operations in the
-   same order, every sum one term at a time from 0.0 in index order, so
-   with -ffp-contract=off (no fused multiply-add) and without -ffast-math
-   (no reassociation) their results are bit-identical.
+/* Native comex step on one model's workspace (comex.walk_kernel.Workspace),
+   and the stage loop of one contamination instance
+   (comex.walk_kernel.Contamination). Four functions are exported:
+   surrogate_update, flip_walk, swap_walk and contamination_violation. Each
+   takes its bound struct first, and each of them, and field_build,
+   pair_sum and negate_high, has a Python twin of the same name with a
+   leading underscore in comex.walk_kernel, its reference. The two do the
+   same floating-point operations in the same order, every sum one term at
+   a time from 0.0 in index order, so with -ffp-contract=off (no fused
+   multiply-add) and without -ffast-math (no reassociation) their results
+   are bit-identical.
 
    The walks take the draws comex.acquisition.walk makes (the moves, then
    the acceptance limits -T log1p(-u)). Each builds the field A, h, c, g
@@ -27,6 +30,13 @@ typedef struct {
     double *w, *psi, *x_aug, *stats, *A, *h, *c, *g;
     const int64_t *padded, *high_ptr, *high_index;
 } Workspace;
+
+typedef struct {
+    int64_t d, n_paths;
+    double u;
+    const double *x, *init_z, *rates_a, *rates_b;
+    double *z;
+} Contamination;
 
 /* Product of x_aug over the m padded coordinates at coords. */
 static double monomial(const double *x_aug, const int64_t *coords, int64_t m)
@@ -182,4 +192,35 @@ int64_t swap_walk(const Workspace *ws, int64_t n, const int64_t *take_plus,
         }
     }
     return accepted;
+}
+
+/* The summed fraction of paths over the limit u after each stage, as
+   comex.walk_kernel.contamination_violation describes it: stage i maps z
+   to (1 - b_i) z when x_i is nonzero (intervene) and to a_i (1 - z) + z
+   otherwise, then adds count / n_paths in stage order. z starts as a copy
+   of init_z and is updated in place, so each path loop reads only z, a_i
+   and b_i; with restrict and the count as a branch the compiler vectorises
+   it, and each element still gets the twin's operations in its order. */
+double contamination_violation(const Contamination *c)
+{
+    const int64_t n = c->n_paths;
+    const double u = c->u;
+    double *restrict z = c->z, violation = 0.0;
+    memcpy(z, c->init_z, n * sizeof(double));
+    for (int64_t i = 0; i < c->d; i++) {
+        const double *restrict a = c->rates_a + i * n, *restrict b = c->rates_b + i * n;
+        int64_t count = 0;
+        if (c->x[i] != 0.0)
+            for (int64_t k = 0; k < n; k++) {
+                z[k] = (1.0 - b[k]) * z[k];
+                if (z[k] > u) count++;
+            }
+        else
+            for (int64_t k = 0; k < n; k++) {
+                z[k] = a[k] * (1.0 - z[k]) + z[k];
+                if (z[k] > u) count++;
+            }
+        violation += (double)count / (double)n;
+    }
+    return violation;
 }

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import walk_kernel
 from ..domain import Unconstrained, to_bits
 from .base import Known, Oracle
 
@@ -52,9 +53,9 @@ class ContaminationProblem:
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
-        self.init_z = np.asarray(self.init_z, dtype=np.float64)
-        self.rates_a = np.asarray(self.rates_a, dtype=np.float64)
-        self.rates_b = np.asarray(self.rates_b, dtype=np.float64)
+        self.init_z = np.ascontiguousarray(self.init_z, dtype=np.float64)
+        self.rates_a = np.ascontiguousarray(self.rates_a, dtype=np.float64)
+        self.rates_b = np.ascontiguousarray(self.rates_b, dtype=np.float64)
         n_paths = self.init_z.size
         _check_sizes(self.d, n_paths)
         if not math.isfinite(self.u):
@@ -65,6 +66,9 @@ class ContaminationProblem:
         for name, value in weights + [("rho", self.rho), ("lambda_reg", self.lambda_reg)]:
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+        if not (self.costs.any() or self.rho or self.lambda_reg):
+            raise ValueError("costs, rho and lambda_reg must not all be 0 "
+                             "(the objective would be identically 0)")
         if self.rates_a.shape != (self.d, n_paths) or self.rates_b.shape != (self.d, n_paths):
             raise ValueError("rate arrays must be (d, n_paths)")
         for arr in (self.init_z, self.rates_a, self.rates_b):
@@ -75,17 +79,33 @@ class ContaminationProblem:
     def n_paths(self) -> int:
         return self.init_z.size
 
+    def __setattr__(self, name, value):
+        # Assigning any field drops the kernel binding, which holds the old
+        # arrays and u; the next evaluation binds afresh.
+        self.__dict__.pop("_kernel", None)
+        super().__setattr__(name, value)
+
+    def __getstate__(self):
+        # The binding holds addresses valid only in this process, so a pickle
+        # (the COMEX_THREADS pool sends one per worker) leaves it out.
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel"}
+
     def evaluate_bits(self, bits: np.ndarray) -> float:
         """Each stage maps z to (1 - b_i) z when intervening and to
         a_i (1 - z) + z when skipping, bit-exactly the two cases of
-        a_i (1 - x_i)(1 - z) + (1 - b_i x_i) z."""
-        x = np.asarray(bits, dtype=np.float64)
-        restore = 1.0 - self.rates_b
-        z = self.init_z
-        violation = 0.0
-        for i, intervene in enumerate(x.tolist()):
-            z = restore[i] * z if intervene else self.rates_a[i] * (1.0 - z) + z
-            violation += np.count_nonzero(z > self.u) / z.size
+        a_i (1 - x_i)(1 - z) + (1 - b_i x_i) z. The stage loop is
+        walk_kernel.contamination_violation, on the arrays as bound at the
+        first evaluation in each process (in-place edits are seen); the
+        cost and l1 terms are added here. One evaluation at a time: the
+        bits go into the binding's buffer x."""
+        bound = self.__dict__.get("_kernel")
+        if bound is None:
+            bound = self._kernel = walk_kernel.Contamination(self)
+        x = bound.x
+        if np.shape(bits) != x.shape:
+            raise ValueError(f"need {x.size} bits, got an array of shape {np.shape(bits)}")
+        x[:] = bits
+        violation = walk_kernel.contamination_violation(bound)
         return float(self.costs @ x) + self.rho * violation + self.lambda_reg * float(x.sum())
 
     def evaluate(self, x) -> float:

@@ -48,7 +48,7 @@ def to_bits(spins) -> np.ndarray:
     """Inverse of :func:`from_bits`; spin +1 maps to bit 1."""
     spins = np.asarray(spins, dtype=np.float64)
     _check_spins(spins)
-    return ((spins + 1.0) / 2.0).astype(np.int64)
+    return (spins > 0.0).astype(np.int64)
 
 
 def hamming_distance(x, y) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -238,6 +237,9 @@ def run_experiment(config: ExperimentConfig, oracle=None) -> list[RunTrace]:
         _, oracle = build_problem(config)
     run = partial(_run, config.algorithm, oracle, config)
     if workers > 1 and len(config.seeds) > 1:
+        # Imported here: the pool pulls in multiprocessing, which a
+        # sequential run never needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = math.ceil(len(config.seeds) / workers)
             return list(pool.map(run, config.seeds, chunksize=chunk))

@@ -1,11 +1,16 @@
-"""The comex step on a model's `Workspace`: native in `_walk.c`, or its Python twin.
+"""The comex step on a model's `Workspace`, and the stage loop of a
+contamination instance bound as a `Contamination`: native in `_walk.c`, or
+their Python twins.
 
-`surrogate_update`, `flip_walk` and `swap_walk` call the kernel function of
-the same name when `load` gives the library, and otherwise its twin here,
-`_surrogate_update`, `_flip_walk` or `_swap_walk`. Each C function with a
+`surrogate_update`, `flip_walk`, `swap_walk` and `contamination_violation`
+call the kernel function of the same name when `load` gives the library,
+and otherwise its twin here, `_surrogate_update`, `_flip_walk`,
+`_swap_walk` or `_contamination_violation`. Each C function with a
 reference has a twin named with a leading underscore (`_field_build`,
 `_pair_sum` and `_negate_high` too) that does its IEEE operations in the
-same order, so the path changes speed, never results.
+same order, so the path changes speed, never results. Each exported
+function takes its bound struct first: a `Workspace` or a `Contamination`,
+whose nested `_Struct` mirrors the C typedef of the same name.
 
 `load` compiles the library with the system C compiler on first use, not on
 import, and caches it in the package's `__pycache__` under a name carrying
@@ -24,13 +29,12 @@ import hashlib
 import math
 import operator
 import os
-import subprocess
-import tempfile
 import warnings
 
 import numpy as np
 
-__all__ = ["Workspace", "load", "ordered_sum", "surrogate_update", "flip_walk", "swap_walk"]
+__all__ = ["Workspace", "Contamination", "load", "ordered_sum", "surrogate_update",
+           "flip_walk", "swap_walk", "contamination_violation"]
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
@@ -39,19 +43,15 @@ FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-_SIGNATURES = {      # name: (argument types after the workspace, result type)
+_SIGNATURES = {      # name: (argument types after the bound struct, result type)
     "surrogate_update": ([_F64, _F64, _F64, _F64], _I64),
     "flip_walk": ([_I64, _PTR, _PTR], _I64),
     "swap_walk": ([_I64, _PTR, _PTR, _PTR], _I64),
+    "contamination_violation": ([], _F64),
 }
 _BUFFERS = ("w", "psi", "x_aug", "stats", "A", "h", "c", "g")
 _TABLES = ("padded", "high_ptr", "high_index")
-
-
-class _Struct(ctypes.Structure):
-    """The kernel's `Workspace` struct: sizes, then buffer and table addresses."""
-    _fields_ = ([(name, _I64) for name in ("d", "p", "m", "n_high")]
-                + [(name, _PTR) for name in _BUFFERS + _TABLES])
+_STAGE_ARRAYS = ("x", "init_z", "rates_a", "rates_b", "z")
 
 
 class Workspace:
@@ -61,15 +61,48 @@ class Workspace:
     stats (loss, var_increment, z_range) from x; a walk writes x and its
     field A, h, c and g, which the next walk builds afresh."""
 
+    class _Struct(ctypes.Structure):
+        """The C `Workspace`: sizes, then buffer and table addresses."""
+        _fields_ = ([(name, _I64) for name in ("d", "p", "m", "n_high")]
+                    + [(name, _PTR) for name in _BUFFERS + _TABLES])
+
     def __init__(self, basis):
         d, p = basis.d, basis.p
         self.basis, self.w = basis, np.empty(2 * p)
         self.psi, self.x_aug, self.stats = np.empty(p), np.ones(d + 1), np.empty(3)
         self.x, self.A, self.h = self.x_aug[:d], np.zeros((d, d)), np.empty(d)
         self.c, self.g = np.empty(p - basis.high_start), np.zeros(d + 1)
-        self._struct = _Struct(d, p, basis.m, self.c.size,
-                               *(getattr(self, name).ctypes.data for name in _BUFFERS),
-                               *(getattr(basis, name).ctypes.data for name in _TABLES))
+        self._struct = self._Struct(d, p, basis.m, self.c.size,
+                                    *(getattr(self, name).ctypes.data for name in _BUFFERS),
+                                    *(getattr(basis, name).ctypes.data for name in _TABLES))
+        self.address = ctypes.addressof(self._struct)
+
+
+class Contamination:
+    """A contamination instance's limit u and arrays init_z, rates_a and
+    rates_b, read in place, with the buffers x (the bits of the evaluation
+    at hand) and z (the paths' contamination, scratch), their addresses
+    taken once, in `address`. The arrays must be C-contiguous float64 of
+    shapes (n_paths,), (d, n_paths) and (d, n_paths). The addresses hold
+    in one process only, so a pickled instance leaves its binding out."""
+
+    class _Struct(ctypes.Structure):
+        """The C `Contamination`: sizes, the limit, then array addresses."""
+        _fields_ = ([("d", _I64), ("n_paths", _I64), ("u", _F64)]
+                    + [(name, _PTR) for name in _STAGE_ARRAYS])
+
+    def __init__(self, problem):
+        self.u, self.init_z = float(problem.u), problem.init_z
+        self.rates_a, self.rates_b = problem.rates_a, problem.rates_b
+        d, n_paths = self.rates_a.shape[0], self.init_z.size
+        for name, shape in (("init_z", (n_paths,)), ("rates_a", (d, n_paths)),
+                            ("rates_b", (d, n_paths))):
+            array = getattr(self, name)
+            if array.dtype != np.float64 or not array.flags.c_contiguous or array.shape != shape:
+                raise ValueError(f"{name} must be a C-contiguous float64 array of shape {shape}")
+        self.x, self.z = np.empty(d), np.empty(n_paths)
+        self._struct = self._Struct(d, n_paths, self.u,
+                                    *(getattr(self, name).ctypes.data for name in _STAGE_ARRAYS))
         self.address = ctypes.addressof(self._struct)
 
 
@@ -112,6 +145,17 @@ def swap_walk(ws: Workspace, take_plus: np.ndarray, take_minus: np.ndarray,
         return _swap_walk(ws, take_plus, take_minus, limits)
     return library.swap_walk(ws.address, limits.size, take_plus.ctypes.data,
                              take_minus.ctypes.data, limits.ctypes.data)
+
+
+def contamination_violation(inst: Contamination) -> float:
+    """The fraction of paths whose contamination exceeds inst.u after each
+    stage, summed in stage order, for the bits in inst.x: stage i maps z to
+    (1 - b_i) z where x_i is nonzero (intervene) and to a_i (1 - z) + z
+    where it is 0, starting from init_z."""
+    library = load()
+    if library is None:
+        return _contamination_violation(inst)
+    return library.contamination_violation(inst.address)
 
 
 def _surrogate_update(ws: Workspace, fx: float, eta: float, sparsity: float, v: float) -> int:
@@ -216,14 +260,23 @@ def _swap_walk(ws: Workspace, take_plus: np.ndarray, take_minus: np.ndarray,
     return accepted
 
 
+def _contamination_violation(inst: Contamination) -> float:
+    restore = 1.0 - inst.rates_b
+    z = inst.init_z
+    violation = 0.0
+    for i, intervene in enumerate(inst.x.tolist()):
+        z = restore[i] * z if intervene else inst.rates_a[i] * (1.0 - z) + z
+        violation += np.count_nonzero(z > inst.u) / z.size
+    return violation
+
+
 @functools.cache
 def load() -> ctypes.CDLL | None:
     """The kernel library, built on first use; None when it cannot be built."""
     try:
         return _build_and_open()
-    except (OSError, subprocess.CalledProcessError) as exc:
-        reason = exc.stderr.strip() if getattr(exc, "stderr", None) else exc
-        warnings.warn(f"native walk kernel unavailable, using the Python walk: {reason}",
+    except OSError as exc:
+        warnings.warn(f"native kernel unavailable, using the Python twins: {exc}",
                       RuntimeWarning, stacklevel=4)
         return None
 
@@ -234,11 +287,17 @@ def _build_and_open() -> ctypes.CDLL:
     tag = hashlib.sha256(source + " ".join(FLAGS + LIBS).encode()).hexdigest()[:16]
     path = os.path.join(CACHE_DIR, f"_walk-{tag}.so")
     if not os.path.exists(path):
+        # Imported only to compile: subprocess and its modules take ~0.4 MB,
+        # which a run from a warm cache does without.
+        import subprocess
+        import tempfile
         os.makedirs(CACHE_DIR, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=CACHE_DIR) as tmp:
             built = os.path.join(tmp, "_walk.so")
-            subprocess.run([COMPILER, *FLAGS, "-o", built, SOURCE, *LIBS],
-                           check=True, capture_output=True, text=True)
+            compiled = subprocess.run([COMPILER, *FLAGS, "-o", built, SOURCE, *LIBS],
+                                      capture_output=True, text=True)
+            if compiled.returncode:
+                raise OSError(compiled.stderr.strip())
             os.replace(built, path)
     library = ctypes.CDLL(path)
     for name, (argtypes, restype) in _SIGNATURES.items():

@@ -14,11 +14,12 @@ def native_walk():
 
 @pytest.fixture
 def python_walk(monkeypatch):
-    """Force the Python walk, the kernel's reference and fallback."""
+    """Force the Python twins (update, walks, contamination stage loop), the
+    kernel's reference and fallback."""
     monkeypatch.setattr(walk_kernel, "load", lambda: None)
 
 
 @pytest.fixture(params=["native_walk", "python_walk"])
 def walk_path(request):
-    """Each walk path in turn: the native kernel, then the Python walk."""
+    """Each path in turn: the native kernel, then the Python twins."""
     return request.getfixturevalue(request.param)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -212,6 +213,49 @@ def test_contamination_regret_anchor_is_raw_level():
     assert oracle.regret_anchor == 0.0
 
 
+def unbound_copy(prob: ContaminationProblem) -> ContaminationProblem:
+    return dataclasses.replace(prob, init_z=prob.init_z.copy(), rates_a=prob.rates_a.copy(),
+                               rates_b=prob.rates_b.copy())
+
+
+def test_contamination_sees_edits_made_after_its_first_evaluation(walk_path):
+    """The arrays are bound at the first evaluation: in-place edits are read
+    in place, and an assigned field is bound afresh."""
+    prob = contamination_make(np.random.default_rng(6), d=6, n_paths=30)
+    bits = np.array([0, 0, 1, 0, 1, 0])
+    values = [prob.evaluate_bits(bits)]
+    prob.init_z[:] = 0.5
+    prob.rates_a[1] *= 0.5
+    values.append(prob.evaluate_bits(bits))
+    assert values[1] == unbound_copy(prob).evaluate_bits(bits)
+    prob.u = 0.9
+    prob.rates_b = 1.0 - prob.rates_b
+    values.append(prob.evaluate_bits(bits))
+    assert values[2] == unbound_copy(prob).evaluate_bits(bits)
+    assert len(set(values)) == 3
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("init_z", lambda prob: prob.init_z.astype(np.float32)),
+    ("rates_a", lambda prob: prob.rates_a[:, ::2]),
+    ("rates_b", lambda prob: np.asfortranarray(prob.rates_b)),
+])
+def test_contamination_does_not_bind_an_assigned_array_the_kernel_cannot_read(name, edit):
+    prob = contamination_make(np.random.default_rng(6), d=6, n_paths=30)
+    bits = np.ones(6)
+    prob.evaluate_bits(bits)
+    setattr(prob, name, edit(prob))
+    with pytest.raises(ValueError, match=f"^{name} must be a C-contiguous float64 array"):
+        prob.evaluate_bits(bits)
+
+
+@pytest.mark.parametrize("bits", [[1], np.ones(5), np.ones((1, 6))])
+def test_contamination_rejects_bits_of_the_wrong_shape(bits):
+    prob = contamination_make(np.random.default_rng(6), d=6, n_paths=30)
+    with pytest.raises(ValueError, match="^need 6 bits"):
+        prob.evaluate_bits(bits)
+
+
 # -- n-queens -----------------------------------------------------------------
 
 
@@ -403,6 +447,29 @@ def test_instance_file_with_a_bad_penalty_weight_names_the_file_and_the_field(tm
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=(f"^{re.escape(str(path))}: {re.escape(named)} "
                                           "must be nonnegative and finite")):
+        load_instance(path)
+
+
+ALL_ZERO = "costs, rho and lambda_reg must not all be 0 (the objective would be identically 0)"
+
+
+def test_make_problem_rejects_all_zero_weights_naming_the_fields():
+    params = {**SMALL["contamination"], "cost": 0.0, "rho": 0.0, "lambda_reg": 0.0}
+    with pytest.raises(ValueError, match=f"^{re.escape(ALL_ZERO)}$"):
+        make_problem("contamination", params, np.random.default_rng(0))
+    for nonzero in ("cost", "rho", "lambda_reg"):   # each one alone is enough
+        make_problem("contamination", {**params, nonzero: 0.5}, np.random.default_rng(0))
+
+
+def test_instance_file_with_all_zero_weights_names_the_file_and_the_fields(tmp_path):
+    path = tmp_path / "instance.json"
+    save_instance(make_problem("contamination", SMALL["contamination"],
+                               np.random.default_rng(8)), path)
+    doc = json.loads(path.read_text())
+    zero = {"hex": (0.0).hex()}
+    doc.update(costs=[zero] * len(doc["costs"]), rho=zero, lambda_reg=zero)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {ALL_ZERO}')}$"):
         load_instance(path)
 
 

@@ -191,6 +191,15 @@ def test_a_negative_or_nonfinite_penalty_weight_exits_one_before_any_run(capsys,
     assert f"error: {message} must be nonnegative and finite" in err
 
 
+def test_all_zero_contamination_weights_exit_one_naming_the_fields(capsys):
+    code = main(["run", "--problem", "contamination", "--d", "5", "--cost", "0", "--rho", "0",
+                 "--lambda-reg", "0", "--algo", "rs", "--budget", "3"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: costs, rho and lambda_reg must not all be 0" in err
+
+
 def test_warm_start_flag_is_gone(capsys):
     assert main(["run", "--warm-start"]) == 2
     assert "--warm-start" in capsys.readouterr().err

@@ -115,12 +115,12 @@ def test_seeds_produce_different_runs():
 
 
 def test_wall_clock_truncation():
-    cfg = tiny_config(problem="contamination", budget=5000,
+    cfg = tiny_config(problem="contamination", budget=50_000,
                       problem_params={"d": 10}, wall_clock_budget=0.3)
     start = time.perf_counter()
     trace = run_single(cfg, seed=0)
     assert trace.truncated
-    assert len(trace) < 5000
+    assert len(trace) < 50_000
     assert time.perf_counter() - start < 5.0
     summary = summarize([trace, run_single(tiny_config(problem="contamination",
                                                        budget=len(trace) + 5,
@@ -177,6 +177,25 @@ def test_worker_fanout_pickles_the_oracle_once_per_worker(monkeypatch):
     for a, b in zip(sequential, parallel):
         assert [q.tobytes() for q in a.queries] == [q.tobytes() for q in b.queries]
         assert np.array_equal(a.scaled_values, b.scaled_values)
+
+
+def test_fanout_of_an_oracle_that_evaluated_in_the_parent_matches_sequential(monkeypatch):
+    """A contamination instance binds its arrays for the native stage loop at
+    its first evaluation; the binding holds addresses, so the pickle sent to
+    each worker must leave it out and the worker bind afresh."""
+    cfg = tiny_config(problem="contamination", problem_params={"d": 6}, budget=4,
+                      seeds=(0, 1, 2))
+    _, oracle = build_problem(cfg)
+    x = -np.ones(6)
+    first = oracle.observe(x)
+    sequential = run_experiment(cfg, oracle)
+    monkeypatch.setenv("COMEX_THREADS", "2")
+    parallel = run_experiment(cfg, oracle)
+    assert [t.seed for t in parallel] == list(cfg.seeds)
+    for a, b in zip(sequential, parallel):
+        assert [q.tobytes() for q in a.queries] == [q.tobytes() for q in b.queries]
+        assert a.raw_values.tobytes() == b.raw_values.tobytes()
+    assert oracle.observe(x) == first
 
 
 def test_unknown_problem_and_algorithm_rejected():

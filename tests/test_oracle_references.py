@@ -1,17 +1,19 @@
 """Differential tests of the three benchmark oracles against test-local
 copies of their straightforward loops.
 
-The contamination and n-queens oracles must agree bit for bit; the Ising
-oracle eliminates the nodes of two half graphs with its own log-sum-exps,
-so it must agree within 1e-12 relative (to log Z where a KL is the
-difference of two log partition values).
+The contamination and n-queens oracles must agree bit for bit, the
+contamination stage loop on the native kernel and on its numpy twin; the
+Ising oracle eliminates the nodes of two half graphs with its own
+log-sum-exps, so it must agree within 1e-12 relative (to log Z where a KL is
+the difference of two log partition values).
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
@@ -23,6 +25,7 @@ from comex.benchmarks import (
     grid_edges,
     ising_make,
 )
+from comex import walk_kernel
 from comex.benchmarks.ising import COUPLING_RANGE, EXHAUSTIVE_EDGE_LIMIT
 
 REL_TOL = 1e-12
@@ -37,12 +40,20 @@ def bit_vectors(d: int, drawn: list[int]) -> list[np.ndarray]:
 # -- contamination ------------------------------------------------------------
 
 
-def reference_contamination(prob: ContaminationProblem, bits: np.ndarray) -> float:
+def reference_paths(prob: ContaminationProblem, bits) -> list[np.ndarray]:
+    """Every path's contamination after each stage."""
     x = np.asarray(bits, dtype=np.float64)
-    z = prob.init_z
-    violation = 0.0
+    z, stages = prob.init_z, []
     for i in range(prob.d):
         z = prob.rates_a[i] * (1.0 - x[i]) * (1.0 - z) + (1.0 - prob.rates_b[i] * x[i]) * z
+        stages.append(z)
+    return stages
+
+
+def reference_contamination(prob: ContaminationProblem, bits: np.ndarray) -> float:
+    x = np.asarray(bits, dtype=np.float64)
+    violation = 0.0
+    for z in reference_paths(prob, bits):
         violation += float((z > prob.u).mean())
     return float(prob.costs @ x) + prob.rho * violation + prob.lambda_reg * float(x.sum())
 
@@ -51,26 +62,50 @@ unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def contamination_cases(draw):
-    d = draw(st.integers(1, 12))
-    n_paths = draw(st.integers(1, 20))
+def contamination_cases(draw, max_d=12, max_paths=20):
+    """An instance and drawn bits; half the time the limit u is one path's
+    exact contamination after one stage for those bits, where `z > u` and
+    `z >= u` differ."""
+    d = draw(st.integers(1, max_d))
+    n_paths = draw(st.integers(1, max_paths))
+    costs = draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 10.0)))
+    rho, lambda_reg = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 1.0))
+    assume(costs.any() or rho or lambda_reg)        # else the objective is identically 0
     prob = ContaminationProblem(
-        d=d, u=draw(unit),
-        costs=draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 10.0))),
-        rho=draw(st.floats(0.0, 10.0)), lambda_reg=draw(st.floats(0.0, 1.0)),
+        d=d, u=draw(unit), costs=costs, rho=rho, lambda_reg=lambda_reg,
         init_z=draw(hnp.arrays(np.float64, n_paths, elements=unit)),
         rates_a=draw(hnp.arrays(np.float64, (d, n_paths), elements=unit)),
         rates_b=draw(hnp.arrays(np.float64, (d, n_paths), elements=unit)),
     )
-    return prob, draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    bits = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    if draw(st.booleans()):
+        stage = reference_paths(prob, bits)[draw(st.integers(0, d - 1))]
+        prob.u = float(stage[draw(st.integers(0, n_paths - 1))])
+    return prob, bits
 
 
 @given(contamination_cases())
-@settings(max_examples=150, deadline=None)
-def test_contamination_matches_reference_loop_bit_for_bit(case):
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_contamination_matches_reference_loop_bit_for_bit(walk_path, case):
     prob, drawn = case
     for bits in bit_vectors(prob.d, drawn):
         assert prob.evaluate_bits(bits) == reference_contamination(prob, bits)
+
+
+@given(contamination_cases(max_d=64, max_paths=200))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_native_stage_loop_equals_its_numpy_twin(native_walk, case):
+    prob, drawn = case
+    bound = walk_kernel.Contamination(prob)
+    for bits in bit_vectors(prob.d, drawn):
+        bound.x[:] = bits
+        assert walk_kernel.contamination_violation(bound) == \
+            walk_kernel._contamination_violation(bound)
+        native = prob.evaluate_bits(bits)
+        with mock.patch.object(walk_kernel, "load", lambda: None):
+            assert prob.evaluate_bits(bits) == native
 
 
 # -- n-queens -----------------------------------------------------------------

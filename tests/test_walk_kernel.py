@@ -1,5 +1,6 @@
-"""The loader of the native walk kernel: build on first use, cache by source
-hash, race-free installs, and the fallback to the Python walk."""
+"""The loader of the native kernel: build on first use, cache by source
+hash, race-free installs, the fallback to the Python twins, and the
+conventions that bind each exported C function to its ctypes declaration."""
 
 import ctypes
 import inspect
@@ -70,7 +71,7 @@ def test_without_a_compiler_the_walk_falls_back_once_with_the_same_results(
         native = walk_results()
     monkeypatch.setenv("PATH", str(tmp_path))           # no compiler on PATH
     fallback, messages = reload_warnings()
-    assert len(messages) == 1 and "using the Python walk" in messages[0]
+    assert len(messages) == 1 and "using the Python twins" in messages[0]
     assert walk_kernel.COMPILER in messages[0]
     assert walk_kernel.load() is None
     assert fallback == native
@@ -118,10 +119,22 @@ def test_an_edited_source_is_rebuilt_and_an_unchanged_one_is_not(cold_cache, tmp
     assert walk_kernel.load()._name == built[1]         # from the cache, no compile
 
 
+@needs_compiler
+def test_a_source_that_does_not_compile_falls_back_naming_the_error(cold_cache, tmp_path,
+                                                                    monkeypatch):
+    source = tmp_path / "_walk.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(walk_kernel, "SOURCE", str(source))
+    with pytest.warns(RuntimeWarning, match="using the Python twins: .*error"):
+        assert walk_kernel.load() is None
+    assert os.listdir(cold_cache) == []                 # no temporaries left
+
+
 def test_importing_comex_loads_neither_the_kernel_nor_scipy():
     script = ("import sys; import comex; from comex import walk_kernel; "
               "assert walk_kernel.load.cache_info().currsize == 0; "
-              "assert 'scipy' not in sys.modules")
+              "assert 'scipy' not in sys.modules; "
+              "assert 'multiprocessing' not in sys.modules")
     src = str(Path(comex.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0
@@ -135,37 +148,52 @@ def test_the_kernel_compiles_cleanly_with_all_warnings(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_the_struct_declares_the_c_workspace_fields_in_order():
-    """_Struct and the C typedef must agree, or the kernel reads wrong addresses."""
+def c_typedefs() -> dict[str, list]:
+    """Each `typedef struct {...} Name;` in the kernel source: its fields in
+    order, as (name, ctypes type)."""
     source = Path(walk_kernel.SOURCE).read_text()
-    body = re.search(r"typedef struct \{(.*?)\} Workspace;", source, re.S).group(1)
-    declared = []
-    for declaration in filter(str.strip, body.split(";")):
-        ctype, names = re.fullmatch(r"\s*(?:const\s+)?(int64_t|double)\s+(.*)", declaration,
-                                    re.S).groups()
-        for name in (name.strip() for name in names.split(",")):
-            scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[ctype]
-            declared.append((name.lstrip("*"), ctypes.c_void_p if "*" in name else scalar))
-    assert declared == walk_kernel._Struct._fields_
+    structs = {}
+    for body, typename in re.findall(r"typedef struct \{(.*?)\} (\w+);", source, re.S):
+        declared = []
+        for declaration in filter(str.strip, body.split(";")):
+            ctype, names = re.fullmatch(r"\s*(?:const\s+)?(int64_t|double)\s+(.*)",
+                                        declaration, re.S).groups()
+            for name in (name.strip() for name in names.split(",")):
+                scalar = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[ctype]
+                declared.append((name.lstrip("*"), ctypes.c_void_p if "*" in name else scalar))
+        structs[typename] = declared
+    return structs
+
+
+def test_each_struct_mirror_declares_its_c_typedef_fields_in_order():
+    """walk_kernel.Name._Struct and the C typedef Name must agree, or the
+    kernel reads wrong addresses."""
+    structs = c_typedefs()
+    assert structs
+    for typename, declared in structs.items():
+        assert declared == getattr(walk_kernel, typename)._Struct._fields_, typename
 
 
 def test_the_signatures_declare_the_exported_c_prototypes():
     """_SIGNATURES and the exported C functions must agree, or ctypes passes
-    wrong arguments with no error: the workspace pointer first, then each
-    argument's kind, and the result type. Each exported function `name` is
-    called through walk_kernel.name, which falls back to its twin _name, and
-    both take the workspace `ws` first."""
-    source = Path(walk_kernel.SOURCE).read_text()
+    wrong arguments with no error: a pointer to a struct typedef `Name` first
+    (whose mirror the test above checks), then each argument's kind, and the
+    result type. Each exported function `name` is called through
+    walk_kernel.name, which falls back to its twin _name, and both take the
+    bound walk_kernel.Name first."""
+    source, structs = Path(walk_kernel.SOURCE).read_text(), c_typedefs()
     kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
-    declared = {}
+    declared, bound = {}, {}
     for result, name, params in re.findall(r"^(\w+) (\w+)\(([^)]*)\)\s*\{", source, re.M):
         args = [re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\*?)\s*\w+\s*", param).groups()
                 for param in params.split(",")]
-        assert args[0] == ("Workspace", "*"), name
+        bound[name], star = args[0]
+        assert star == "*" and bound[name] in structs, name
         declared[name] = ([ctypes.c_void_p if star else kinds[ctype] for ctype, star in args[1:]],
                           kinds[result])
     assert declared == walk_kernel._SIGNATURES
     for name in declared:
         assert name in walk_kernel.__all__
         for function in (getattr(walk_kernel, name), getattr(walk_kernel, f"_{name}")):
-            assert next(iter(inspect.signature(function).parameters)) == "ws", function
+            first = next(iter(inspect.signature(function).parameters.values()))
+            assert first.annotation == bound[name], function
